@@ -19,6 +19,7 @@ from .angle import (
 from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
+    DeterminantRangeError,
     LUFactorization,
     SingularMatrixError,
     ToleranceConfig,

@@ -1,7 +1,8 @@
 """Command-line surface: gen | det | inv | pinv | verify | bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file-format error,
-3 numerical error (singular or rank-deficient input).
+3 numerical error (singular or rank-deficient input, or a determinant whose
+modulus is outside the float64 range).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .angle import AngleMatrix
 from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
+    DeterminantRangeError,
     SingularMatrixError,
     hadamard_product,
     identity,
@@ -214,7 +216,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, argv)
-    except SingularMatrixError as err:
+    except (SingularMatrixError, DeterminantRangeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except RuntimeError as err:

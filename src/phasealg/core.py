@@ -1,4 +1,6 @@
-"""Dense complex matrices, entrywise (Hadamard) algebra, and a pivoted LU oracle."""
+"""Dense complex matrices, entrywise (Hadamard) algebra, the LAPACK production
+route (checked inverse, log-determinant, diagonal phase rescale) and a pivoted
+LU oracle."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
     "SingularMatrixError",
+    "DeterminantRangeError",
     "VerificationReport",
     "DenseMatrix",
     "identity",
@@ -22,6 +25,9 @@ __all__ = [
     "hadamard_product",
     "hadamard_power",
     "hadamard_inverse",
+    "checked_inverse",
+    "slogdet",
+    "rescale",
     "LUFactorization",
     "lu_factorize",
     "det_lu",
@@ -36,8 +42,9 @@ class ToleranceConfig:
 
     entry_eps gates per-entry comparisons (including the zero-entry test for
     Hadamard reciprocals), residual_eps gates Frobenius-norm residuals,
-    rank_eps scales the LU pivot test, and condition_cap filters randomly
-    generated test instances only.
+    rank_eps bounds the reciprocal Frobenius condition number on the production
+    route and scales the pivot test of the LU oracle, and condition_cap
+    filters randomly generated test instances only.
     """
 
     entry_eps: float = 1e-12
@@ -56,11 +63,24 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 class SingularMatrixError(ValueError):
-    """A pivot fell below the rank threshold; carries the offending magnitude."""
+    """Input is singular to working precision; carries the offending magnitude.
+
+    That is a pivot on the LU oracle, and on the production route the
+    reciprocal condition number (0.0 when LAPACK meets an exactly zero pivot).
+    """
 
     def __init__(self, message: str, pivot: float):
         super().__init__(message)
         self.pivot = float(pivot)
+
+
+class DeterminantRangeError(ArithmeticError):
+    """The determinant's modulus lies outside the normal float64 range;
+    carries its natural logarithm."""
+
+    def __init__(self, message: str, log_abs: float):
+        super().__init__(message)
+        self.log_abs = float(log_abs)
 
 
 @dataclass(frozen=True)
@@ -88,7 +108,23 @@ class DenseMatrix:
             raise ValueError(f"expected a 2-D matrix, got an array of ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        self._adopt(arr)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> DenseMatrix:
+        """Trusted constructor for a fresh 2-D complex128 kernel output that no
+        other reference can write to: no copy, but still the finiteness check."""
+        out = cls.__new__(cls)
+        out._adopt(arr)
+        return out
+
+    def _adopt(self, arr: np.ndarray):
+        # A finite sum means finite entries (inf and nan propagate), and costs
+        # half the entrywise scan; only a non-finite sum, which overflow alone
+        # can cause, needs the scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        if not np.isfinite(total) and not np.isfinite(arr).all():
             i, k = np.argwhere(~np.isfinite(arr))[0]
             raise ValueError(f"non-finite entry at ({i}, {k})")
         arr.flags.writeable = False
@@ -185,12 +221,55 @@ def hadamard_inverse(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) 
 
 
 # Factorization counter: test probe asserting how often structured paths
-# fall back to a fresh LU. Not part of the numerical contracts.
+# fall back to a fresh factorization, LAPACK or hand LU. Not part of the
+# numerical contracts.
 _lu_factorizations = 0
 
 
 def lu_factorization_count() -> int:
     return _lu_factorizations
+
+
+def checked_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """LAPACK inverse of a square array, rejected as singular when the
+    reciprocal Frobenius condition 1 / (||A||_F * ||A^-1||_F) is at most
+    rank_eps. Counts one factorization."""
+    global _lu_factorizations
+    _lu_factorizations += 1
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as err:
+        raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
+    reciprocal_condition = 1.0 / (float(np.linalg.norm(a)) * float(np.linalg.norm(inv)))
+    if not reciprocal_condition > tol.rank_eps:  # also rejects nan from overflowed norms
+        raise SingularMatrixError(
+            f"matrix is singular to working precision: reciprocal condition "
+            f"{reciprocal_condition:.3e} <= threshold {tol.rank_eps:.3e}",
+            pivot=reciprocal_condition,
+        )
+    return inv
+
+
+def slogdet(a: np.ndarray) -> tuple[complex, float]:
+    """LAPACK (sign, log|det|) of a square array; sign is 0 for an exactly
+    singular one. Counts one factorization."""
+    global _lu_factorizations
+    _lu_factorizations += 1
+    sign, log_abs = np.linalg.slogdet(a)
+    return complex(sign), float(log_abs)
+
+
+def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> DenseMatrix:
+    """The one mask kernel: diag(e^(j*row_phases)) @ x @ diag(e^(j*col_phases)),
+    in O(mn) with a single m-by-n allocation.
+
+    Masking by an angle matrix is exactly this diagonal scaling, so every
+    structured solve is a base solve followed by one call here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the wrap reports overflow
+        out = x * np.exp(1j * col_phases)[None, :]
+        out *= np.exp(1j * row_phases)[:, None]
+    return DenseMatrix._wrap(out)
 
 
 class LUFactorization:

@@ -20,9 +20,10 @@ from .core import (
     frobenius_norm,
     hadamard_product,
     inverse_lu,
+    rescale,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
-from .pseudo import penrose_check, pinv_full_rank
+from .pseudo import _pinv_gram, penrose_check, pinv_full_rank
 
 __all__ = [
     "PrecomputedBase",
@@ -55,7 +56,7 @@ class PrecomputedBase:
 def precompute(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                seed: int | None = None) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it."""
-    base_pinv = pinv_full_rank(a, tol)
+    base_pinv = DenseMatrix._wrap(_pinv_gram(a.array, tol))
     report = penrose_check(a, base_pinv, tol)
     if not report.passed:
         raise RuntimeError(
@@ -73,8 +74,7 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
     """
     if t.shape != base.shape:
         raise ValueError(f"apply_update shape mismatch: base {base.shape} vs angle matrix {t.shape}")
-    mask = np.multiply.outer(np.exp(-1j * t.phi), np.exp(-1j * t.theta))
-    return DenseMatrix(base.base_pinv.array * mask)
+    return rescale(base.base_pinv.array, -t.phi, -t.theta)
 
 
 def naive_update(a: DenseMatrix, t: AngleMatrix,

@@ -2,8 +2,9 @@
 
 The pseudoinverse of a full-rank matrix comes from the invertible Gram system
 on its smaller side; the pseudoinverse of the phase-masked matrix is then the
-base pseudoinverse masked by the conjugate-transposed angle matrix. Rank
-deficiency is out of scope and rejected.
+base pseudoinverse masked by the conjugate-transposed angle matrix. The
+production route solves the Gram system on LAPACK; pinv_full_rank is the
+hand-LU oracle for it. Rank deficiency is out of scope and rejected.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
     ToleranceConfig,
-    hadamard_product,
+    checked_inverse,
     lu_factorize,
+    rescale,
 )
 
 __all__ = [
@@ -89,6 +91,18 @@ def pinv_full_rank(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) ->
     return DenseMatrix(arr.conj().T @ gram_inv.array)
 
 
+def _pinv_gram(arr: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Production pseudoinverse of a full-rank array: the same Gram route as
+    pinv_full_rank, with the one factorization done by checked_inverse."""
+    m, n = arr.shape
+    if m == n:
+        return checked_inverse(arr, tol)
+    adjoint = arr.conj().T
+    if m > n:
+        return checked_inverse(adjoint @ arr, tol) @ adjoint
+    return adjoint @ checked_inverse(arr @ adjoint, tol)
+
+
 def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:
     """Factor the column Gram of the masked matrix without forming it.
 
@@ -110,4 +124,4 @@ def pinv_structured(a: DenseMatrix, t: AngleMatrix,
     matrix is never formed."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    return hadamard_product(pinv_full_rank(a, tol), t.hermitian().materialize())
+    return rescale(_pinv_gram(a.array, tol), -t.phi, -t.theta)

@@ -2,7 +2,8 @@
 
 For a nonsingular A and an angle matrix mask, the determinant of the masked
 matrix is det(A) rotated by the total phase, and the inverse is the inverse
-of A masked by the conjugate-transposed angle matrix. The cofactor/adjugate
+of A masked by the conjugate-transposed angle matrix. Production solves run
+on LAPACK and apply the mask as one diagonal rescale; the cofactor/adjugate
 route provides an independent small-dimension oracle for the same inverse.
 """
 
@@ -16,10 +17,13 @@ from .angle import AngleMatrix
 from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
+    DeterminantRangeError,
     SingularMatrixError,
     ToleranceConfig,
-    hadamard_product,
+    checked_inverse,
     lu_factorize,
+    rescale,
+    slogdet,
 )
 
 __all__ = [
@@ -34,6 +38,12 @@ __all__ = [
 
 ADJUGATE_CAP = 6
 
+# Natural-log bounds of the normal float64 range: a determinant whose log
+# modulus falls outside them would overflow to inf (and nan once rotated) or
+# underflow towards zero.
+_LOG_MAX = float(np.log(np.finfo(np.float64).max))
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))
+
 
 def _require_square_pair(a: DenseMatrix, t: AngleMatrix, op: str):
     if a.rows != a.cols:
@@ -44,18 +54,33 @@ def _require_square_pair(a: DenseMatrix, t: AngleMatrix, op: str):
 
 def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
     """Determinant of the masked matrix without ever forming it: det(A) times
-    the unit-modulus rotation by the total phase."""
+    the unit-modulus rotation by the total phase.
+
+    Built from LAPACK's log-determinant, so it is never inf or nan: an exactly
+    singular A gives 0, and a modulus outside the normal float64 range raises
+    DeterminantRangeError.
+    """
     _require_square_pair(a, t, "det_structured")
-    return complex(lu_factorize(a).det() * np.exp(1j * t.phase_sum()))
+    sign, log_abs = slogdet(a.array)
+    if sign == 0:
+        return 0j
+    if not _LOG_TINY <= log_abs <= _LOG_MAX:
+        raise DeterminantRangeError(
+            f"determinant modulus exp({log_abs:.6g}) is outside the float64 range "
+            f"[exp({_LOG_TINY:.6g}), exp({_LOG_MAX:.6g})]",
+            log_abs=log_abs,
+        )
+    return complex(sign * np.exp(1j * t.phase_sum()) * np.exp(log_abs))
 
 
 def inverse_structured(a: DenseMatrix, t: AngleMatrix,
                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
     """Inverse of the masked matrix: inverse(A) masked by the conjugate
-    transpose of the angle matrix. Factors A exactly once; the masked matrix
-    is never formed, let alone factored."""
+    transpose of the angle matrix, i.e. inverse(A) rescaled by e^(-j*phi) on
+    the rows and e^(-j*theta) on the columns. Factors A exactly once; the
+    masked matrix is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
-    return hadamard_product(lu_factorize(a).inverse(tol), t.hermitian().materialize())
+    return rescale(checked_inverse(a.array, tol), -t.phi, -t.theta)
 
 
 def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix,
@@ -63,8 +88,7 @@ def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix,
     """Inverse of A masked by the transposed angle matrix: inverse(A) masked by
     the entrywise conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    conj_mask = DenseMatrix(np.exp(-1j * (t.theta[:, None] + t.phi[None, :])))
-    return hadamard_product(lu_factorize(a).inverse(tol), conj_mask)
+    return rescale(checked_inverse(a.array, tol), -t.theta, -t.phi)
 
 
 @dataclass(frozen=True)

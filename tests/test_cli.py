@@ -97,6 +97,18 @@ def test_pinv_rank_deficient_exits_3(tmp_path):
                    "--out", str(tmp_path / "x.json")) == 3
 
 
+def test_det_outside_float_range_exits_3(tmp_path, capsys):
+    a_path = str(tmp_path / "a.json")
+    t_path = str(tmp_path / "t.json")
+    assert run_cli("gen", "--rows", "272", "--cols", "272", "--seed", "5", "--out", a_path) == 0
+    assert run_cli("gen", "--rows", "272", "--cols", "272", "--seed", "5", "--angle", "--out", t_path) == 0
+    capsys.readouterr()
+    assert run_cli("det", "--matrix", a_path, "--angle", t_path) == 3
+    captured = capsys.readouterr()
+    assert not re.search(r"\bnan\b", captured.out + captured.err)
+    assert "float64 range" in captured.err
+
+
 def test_dense_file_where_angle_expected_exits_2(tmp_path, capsys):
     a_path, _ = write_identity_pair(tmp_path)
     assert run_cli("det", "--matrix", a_path, "--angle", a_path) == 2

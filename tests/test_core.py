@@ -26,6 +26,7 @@ from phasealg import (
     matmul,
     transpose,
 )
+from phasealg.core import rescale
 from phasealg.generate import draw_dense, draw_well_conditioned, stream_generator
 
 
@@ -34,6 +35,30 @@ def test_dense_matrix_rejects_non_finite():
         DenseMatrix([[1.0, np.nan], [0.0, 2.0]])
     with pytest.raises(ValueError, match="non-finite"):
         DenseMatrix([[np.inf]])
+
+
+def test_dense_matrix_accepts_finite_entries_whose_sum_overflows():
+    a = DenseMatrix([[1e308, 1e308], [1e308 + 1e308j, 1.0]])
+    assert np.isfinite(a.array).all()
+
+
+def test_rescale_rejects_overflow_from_rotation():
+    # finite entry whose modulus exceeds the float maximum: a pi/4 rotation
+    # moves it all onto one axis, which overflows
+    x = np.array([[1.5e308 + 1.5e308j]])
+    with pytest.raises(ValueError, match="non-finite"):
+        rescale(x, np.array([np.pi / 4]), np.array([0.0]))
+
+
+def test_rescale_is_diagonal_scaling():
+    gen = stream_generator(7, 0)
+    x = draw_dense(gen, 3, 4).array
+    alpha = gen.uniform(0, 2 * np.pi, 3)
+    beta = gen.uniform(0, 2 * np.pi, 4)
+    expected = np.diag(np.exp(1j * alpha)) @ x @ np.diag(np.exp(1j * beta))
+    out = rescale(x, alpha, beta)
+    assert isinstance(out, DenseMatrix) and not out.array.flags.writeable
+    assert np.abs(out.array - expected).max() <= 1e-15 * np.abs(x).max()
 
 
 def test_dense_matrix_rejects_bad_shapes():

@@ -67,6 +67,19 @@ def test_apply_update_performs_no_factorization():
     assert lu_factorization_count() == before
 
 
+def test_apply_update_output_is_read_only_and_base_unchanged():
+    gen = stream_generator(163, 0)
+    base = precompute(draw_well_conditioned(gen, 12, 7))
+    stored = base.base_pinv.array.copy()
+    x = apply_update(base, draw_angle(gen, 12, 7))
+    assert not x.array.flags.writeable
+    with pytest.raises(ValueError):
+        x.array[0, 0] = 1.0
+    assert not np.shares_memory(x.array, base.base_pinv.array)
+    assert np.array_equal(base.base_pinv.array, stored)
+    assert not base.base_pinv.array.flags.writeable
+
+
 def test_apply_update_dimension_mismatch():
     base = precompute(identity(3))
     with pytest.raises(ValueError, match="mismatch"):

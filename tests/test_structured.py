@@ -1,11 +1,14 @@
 """Structured determinant/inverse closed forms and the cofactor oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from phasealg import (
     AngleMatrix,
     DenseMatrix,
+    DeterminantRangeError,
     Minor,
     SingularMatrixError,
     adjugate,
@@ -19,9 +22,11 @@ from phasealg import (
     inverse_structured,
     inverse_structured_transposed,
     lu_factorization_count,
+    pinv_structured,
+    precompute,
     transpose,
 )
-from phasealg.generate import draw_angle, draw_well_conditioned, stream_generator
+from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
 
 
 def test_det_identity_matrix_zero_phases():
@@ -88,13 +93,39 @@ def test_inverse_random_residuals():
     assert np.linalg.norm(x.array @ masked.array - np.eye(8)) <= 1e-8
 
 
-def test_inverse_factors_base_exactly_once():
+def _raise_oracle_reached(*args, **kwargs):
+    raise AssertionError("production path reached the hand-LU oracle")
+
+
+def test_inverse_factors_base_exactly_once(monkeypatch):
     gen = stream_generator(73, 0)
-    a = draw_well_conditioned(gen, 6, 6)
-    t = draw_angle(gen, 6, 6)
-    before = lu_factorization_count()
-    inverse_structured(a, t)
-    assert lu_factorization_count() == before + 1
+    square = draw_well_conditioned(gen, 6, 6)
+    square_mask = draw_angle(gen, 6, 6)
+    tall = draw_well_conditioned(gen, 9, 5)
+    tall_mask = draw_angle(gen, 9, 5)
+    wide = draw_well_conditioned(gen, 5, 9)
+    wide_mask = draw_angle(gen, 5, 9)
+    paths = {
+        "inverse_structured": lambda: inverse_structured(square, square_mask),
+        "det_structured": lambda: det_structured(square, square_mask),
+        "inverse_structured_transposed": lambda: inverse_structured_transposed(square, square_mask),
+        "pinv_structured tall": lambda: pinv_structured(tall, tall_mask),
+        "pinv_structured wide": lambda: pinv_structured(wide, wide_mask),
+        "precompute": lambda: precompute(tall),
+    }
+    for name, path in paths.items():
+        before = lu_factorization_count()
+        path()
+        assert lu_factorization_count() == before + 1, name
+
+    # every module that looks the oracle up by name, so no route can reach it
+    for name in ("phasealg", "phasealg.core", "phasealg.structured", "phasealg.pseudo",
+                 "phasealg.engine", "phasealg.generate", "phasealg.verify", "phasealg.cli"):
+        module = importlib.import_module(name)
+        if hasattr(module, "lu_factorize"):
+            monkeypatch.setattr(module, "lu_factorize", _raise_oracle_reached)
+    for name, path in paths.items():
+        path()
 
 
 def test_inverse_rejects_singular():
@@ -107,7 +138,61 @@ def test_transposed_mask_with_zero_phases_is_plain_inverse():
     gen = stream_generator(79, 0)
     a = draw_well_conditioned(gen, 4, 4)
     t = AngleMatrix(theta=np.zeros(4), phi=np.zeros(4))
-    assert np.allclose(inverse_structured_transposed(a, t).array, inverse_lu(a).array, rtol=0, atol=0)
+    assert np.allclose(inverse_structured_transposed(a, t).array, np.linalg.inv(a.array), rtol=0, atol=0)
+
+
+def _graded(seed: int, n: int, condition: float) -> DenseMatrix:
+    """Square matrix with singular values spaced evenly in log from 1 down to
+    1 / condition, between random unitary factors."""
+    gen = stream_generator(seed, 0)
+    u, _ = np.linalg.qr(draw_dense(gen, n, n).array)
+    v, _ = np.linalg.qr(draw_dense(gen, n, n).array)
+    return DenseMatrix((u * np.logspace(0, -np.log10(condition), n)) @ v.conj().T)
+
+
+def test_production_and_oracle_agree_on_singularity():
+    for seed in range(3):
+        for n in (4, 8, 16, 24):
+            t = draw_angle(stream_generator(seed, 1), n, n)
+            conditioned = _graded(seed, n, 1e6)
+            inverse_structured(conditioned, t)
+            inverse_lu(conditioned)
+            near_singular = _graded(seed, n, 1e14)
+            with pytest.raises(SingularMatrixError):
+                inverse_structured(near_singular, t)
+            with pytest.raises(SingularMatrixError):
+                inverse_lu(near_singular)
+
+    base = draw_dense(stream_generator(101, 0), 8, 7).array
+    deficient = DenseMatrix(np.hstack([base, base[:, :1] + base[:, 1:2]]))
+    t = draw_angle(stream_generator(101, 1), 8, 8)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        inverse_structured(deficient, t)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        inverse_lu(deficient)
+
+
+def test_det_outside_float_range_raises():
+    a = draw_dense(stream_generator(5, 0), 272, 272)
+    t = draw_angle(stream_generator(5, 1), 272, 272)
+    with pytest.raises(DeterminantRangeError) as excinfo:
+        det_structured(a, t)
+    assert excinfo.value.log_abs == pytest.approx(np.linalg.slogdet(a.array)[1])
+
+
+def test_det_near_float_limit_matches_slogdet():
+    a = draw_dense(stream_generator(5, 0), 268, 268)
+    t = draw_angle(stream_generator(5, 1), 268, 268)
+    det = det_structured(a, t)
+    assert np.isfinite(det.real) and np.isfinite(det.imag)
+    sign, log_abs = np.linalg.slogdet(hadamard_product(a, t.materialize()).array)
+    assert np.log(abs(det)) == pytest.approx(log_abs, rel=1e-12)
+    assert abs(det / abs(det) - sign) <= 1e-9
+
+
+def test_det_of_exactly_singular_base_is_zero():
+    t = AngleMatrix(theta=[0.3, 1.2], phi=[-0.4, 2.0])
+    assert det_structured(DenseMatrix([[1, 2], [2, 4]]), t) == 0
 
 
 def test_transposed_mask_identity_base_frozen():
