@@ -10,8 +10,6 @@ benchmark engine that reuses one factorization across a stream of masks.
 
 from .angle import (
     AngleMatrix,
-    AngleVector,
-    angle_matrix,
     gram,
     hadamard_inverse_transpose,
     triple_product_check,
@@ -23,14 +21,10 @@ from .core import (
     LUFactorization,
     SingularMatrixError,
     ToleranceConfig,
-    VerificationReport,
-    all_ones,
-    conjugate,
     conjugate_transpose,
     det_lu,
     frobenius_norm,
     hadamard_inverse,
-    hadamard_power,
     hadamard_product,
     identity,
     inverse_lu,
@@ -63,7 +57,6 @@ from .pseudo import (
     pinv_structured,
 )
 from .structured import (
-    Minor,
     adjugate,
     cofactor,
     det_structured,

@@ -1,4 +1,4 @@
-"""Angle vectors and rank-one angle matrices stored as phase lists.
+"""Rank-one angle matrices stored as phase lists.
 
 An angle matrix is the outer product of two unit-modulus exponential vectors.
 It is kept implicit as a (row phases, column phases) pair: the conjugate
@@ -12,19 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    DenseMatrix,
-    ToleranceConfig,
-    VerificationReport,
-    hadamard_inverse,
-    transpose,
-)
+from .core import DenseMatrix, hadamard_inverse, transpose
 
 __all__ = [
-    "AngleVector",
     "AngleMatrix",
-    "angle_matrix",
     "hadamard_inverse_transpose",
     "gram",
     "triple_product_check",
@@ -41,23 +32,6 @@ def _phase_array(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} contains a non-finite phase")
     arr.flags.writeable = False
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class AngleVector:
-    """Real phases in radians; represents the unit-modulus vector (e^(j*phase_i))."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", _phase_array(self.phases, "phases"))
-
-    def __len__(self):
-        return self.phases.size
-
-    def unit(self) -> np.ndarray:
-        """Materialize the complex unit vector."""
-        return np.exp(1j * self.phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,19 +77,13 @@ class AngleMatrix:
         return float(self.theta.sum() + self.phi.sum())
 
 
-def angle_matrix(v: AngleVector, u: AngleVector) -> AngleMatrix:
-    """Outer product of two angle vectors: row phases from v, column phases from u."""
-    return AngleMatrix(theta=v.phases, phi=u.phases)
-
-
-def hadamard_inverse_transpose(t: AngleMatrix,
-                               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def hadamard_inverse_transpose(t: AngleMatrix) -> DenseMatrix:
     """Transpose of the entrywise reciprocal of the dense form.
 
     This is the long route to the conjugate transpose; it exists so the
     identity with materialize(hermitian(t)) is directly executable.
     """
-    return transpose(hadamard_inverse(t.materialize(), tol))
+    return transpose(hadamard_inverse(t.materialize()))
 
 
 def gram(t: AngleMatrix, side: str) -> tuple[int, AngleMatrix]:
@@ -133,18 +101,11 @@ def gram(t: AngleMatrix, side: str) -> tuple[int, AngleMatrix]:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def triple_product_check(t: AngleMatrix,
-                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VerificationReport:
-    """Check hermitian(t) @ t @ hermitian(t) against rows*cols*hermitian(t), densely."""
+def triple_product_check(t: AngleMatrix) -> float:
+    """Largest entry error of hermitian(t) @ t @ hermitian(t) against
+    rows*cols*hermitian(t), computed densely; the caller sets the limit."""
     m, n = t.shape
     dense = t.materialize().array
     herm = t.hermitian().materialize().array
     product = herm @ dense @ herm
-    deviation = float(np.abs(product - m * n * herm).max())
-    limit = m * n * tol.entry_eps
-    return VerificationReport(
-        check="triple_product",
-        residuals={"max_entry_error": deviation},
-        tolerance=limit,
-        passed=deviation <= limit,
-    )
+    return float(np.abs(product - m * n * herm).max())

@@ -216,19 +216,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, argv)
-    except (SingularMatrixError, DeterminantRangeError) as err:
+    except (SingularMatrixError, DeterminantRangeError, RuntimeError) as err:
+        # must precede the ValueError clause: SingularMatrixError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except RuntimeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except MatrixFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -13,17 +13,13 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "SingularMatrixError",
     "DeterminantRangeError",
-    "VerificationReport",
     "DenseMatrix",
     "identity",
-    "all_ones",
-    "conjugate",
     "transpose",
     "conjugate_transpose",
     "matmul",
     "frobenius_norm",
     "hadamard_product",
-    "hadamard_power",
     "hadamard_inverse",
     "checked_inverse",
     "slogdet",
@@ -81,16 +77,6 @@ class DeterminantRangeError(ArithmeticError):
     def __init__(self, message: str, log_abs: float):
         super().__init__(message)
         self.log_abs = float(log_abs)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one numerical identity check: named residuals vs a tolerance."""
-
-    check: str
-    residuals: dict
-    tolerance: float
-    passed: bool
 
 
 class DenseMatrix:
@@ -155,14 +141,6 @@ def identity(n: int) -> DenseMatrix:
     return DenseMatrix(np.eye(n, dtype=np.complex128))
 
 
-def all_ones(rows: int, cols: int) -> DenseMatrix:
-    return DenseMatrix(np.ones((rows, cols), dtype=np.complex128))
-
-
-def conjugate(a: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(np.conj(a.array))
-
-
 def transpose(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(a.array.T)
 
@@ -192,31 +170,13 @@ def hadamard_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(out)
 
 
-def _first_small_entry(arr: np.ndarray, eps: float):
-    """Row-major index of the first entry with modulus <= eps, or None."""
-    flat = np.abs(arr).ravel() <= eps
-    if not flat.any():
-        return None
-    pos = int(np.argmax(flat))
-    return divmod(pos, arr.shape[1])
-
-
-def hadamard_power(a: DenseMatrix, k: int, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
-    """Entrywise k-th power. k = 0 yields all-ones regardless of zero entries."""
-    if k == 0:
-        return all_ones(a.rows, a.cols)
-    if k < 0:
-        bad = _first_small_entry(a.array, tol.entry_eps)
-        if bad is not None:
-            raise ValueError(f"entry at {bad} is zero (|.| <= {tol.entry_eps}); negative power undefined")
-    return DenseMatrix(a.array ** k)
-
-
-def hadamard_inverse(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def hadamard_inverse(a: DenseMatrix) -> DenseMatrix:
     """Entrywise reciprocal; requires every entry nonzero."""
-    bad = _first_small_entry(a.array, tol.entry_eps)
-    if bad is not None:
-        raise ValueError(f"entry at {bad} is zero (|.| <= {tol.entry_eps}); entrywise reciprocal undefined")
+    eps = DEFAULT_TOLERANCES.entry_eps
+    small = np.abs(a.array) <= eps
+    if small.any():
+        bad = divmod(int(np.argmax(small)), a.cols)  # row-major index of the first small entry
+        raise ValueError(f"entry at {bad} is zero (|.| <= {eps}); entrywise reciprocal undefined")
     return DenseMatrix(1.0 / a.array)
 
 
@@ -230,7 +190,7 @@ def lu_factorization_count() -> int:
     return _lu_factorizations
 
 
-def checked_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def checked_inverse(a: np.ndarray) -> np.ndarray:
     """LAPACK inverse of a square array, rejected as singular when the
     reciprocal Frobenius condition 1 / (||A||_F * ||A^-1||_F) is at most
     rank_eps. Counts one factorization."""
@@ -241,10 +201,11 @@ def checked_inverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES) ->
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
     reciprocal_condition = 1.0 / (float(np.linalg.norm(a)) * float(np.linalg.norm(inv)))
-    if not reciprocal_condition > tol.rank_eps:  # also rejects nan from overflowed norms
+    threshold = DEFAULT_TOLERANCES.rank_eps
+    if not reciprocal_condition > threshold:  # also rejects nan from overflowed norms
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
-            f"{reciprocal_condition:.3e} <= threshold {tol.rank_eps:.3e}",
+            f"{reciprocal_condition:.3e} <= threshold {threshold:.3e}",
             pivot=reciprocal_condition,
         )
     return inv
@@ -299,8 +260,8 @@ class LUFactorization:
     def det(self) -> complex:
         return complex(self.parity * np.prod(np.diag(self.upper)))
 
-    def _check_pivots(self, tol: ToleranceConfig, pivot_floor):
-        floor = tol.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
+    def _check_pivots(self, pivot_floor: float | None = None):
+        floor = DEFAULT_TOLERANCES.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
         pivots = self.pivot_magnitudes()
         worst = float(pivots.min())
         if worst <= floor:
@@ -309,13 +270,12 @@ class LUFactorization:
                 pivot=worst,
             )
 
-    def solve(self, rhs: np.ndarray, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-              pivot_floor: float | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, pivot_floor: float | None = None) -> np.ndarray:
         """Solve A X = rhs by forward/back substitution over all columns at once."""
         n = self.size
         if rhs.shape[0] != n:
             raise ValueError(f"solve dimension mismatch: factor is {n}x{n}, rhs has {rhs.shape[0]} rows")
-        self._check_pivots(tol, pivot_floor)
+        self._check_pivots(pivot_floor)
         b = np.asarray(rhs, dtype=np.complex128)[self.permutation]
         y = np.empty_like(b)
         for i in range(n):
@@ -325,9 +285,8 @@ class LUFactorization:
             x[i] = (y[i] - self.upper[i, i + 1:] @ x[i + 1:]) / self.upper[i, i]
         return x
 
-    def inverse(self, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                pivot_floor: float | None = None) -> DenseMatrix:
-        return DenseMatrix(self.solve(np.eye(self.size, dtype=np.complex128), tol, pivot_floor))
+    def inverse(self, pivot_floor: float | None = None) -> DenseMatrix:
+        return DenseMatrix(self.solve(np.eye(self.size, dtype=np.complex128), pivot_floor))
 
 
 def lu_factorize(a: DenseMatrix) -> LUFactorization:
@@ -359,5 +318,5 @@ def det_lu(a: DenseMatrix) -> complex:
     return lu_factorize(a).det()
 
 
-def inverse_lu(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
-    return lu_factorize(a).inverse(tol)
+def inverse_lu(a: DenseMatrix) -> DenseMatrix:
+    return lu_factorize(a).inverse()

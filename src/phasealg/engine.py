@@ -16,8 +16,6 @@ from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
     SingularMatrixError,
-    ToleranceConfig,
-    frobenius_norm,
     hadamard_product,
     inverse_lu,
     rescale,
@@ -49,20 +47,17 @@ class PrecomputedBase:
 
     shape: tuple[int, int]
     base_pinv: DenseMatrix
-    base_norm: float
-    created_from_seed: int | None = None
 
 
-def precompute(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-               seed: int | None = None) -> PrecomputedBase:
+def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it."""
-    base_pinv = DenseMatrix._wrap(_pinv_gram(a.array, tol))
-    report = penrose_check(a, base_pinv, tol)
+    base_pinv = DenseMatrix._wrap(_pinv_gram(a.array))
+    report = penrose_check(a, base_pinv)
     if not report.passed:
         raise RuntimeError(
             f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
         )
-    return PrecomputedBase((a.rows, a.cols), base_pinv, frobenius_norm(a), seed)
+    return PrecomputedBase((a.rows, a.cols), base_pinv)
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
@@ -77,16 +72,15 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
     return rescale(base.base_pinv.array, -t.phi, -t.theta)
 
 
-def naive_update(a: DenseMatrix, t: AngleMatrix,
-                 tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Reference path: materialize the mask, apply it, factor from scratch."""
     if t.shape != a.shape:
         raise ValueError(f"naive_update shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
     masked = hadamard_product(a, t.materialize())
     try:
         if a.rows == a.cols:
-            return inverse_lu(masked, tol)
-        return pinv_full_rank(masked, tol)
+            return inverse_lu(masked)
+        return pinv_full_rank(masked)
     except SingularMatrixError as err:
         # A unit-modulus mask cannot change the rank; reaching this means the
         # caller's base was not full rank to begin with.
@@ -118,9 +112,7 @@ def _median_per_update(samples_ns: list[int]) -> float:
     return float(statistics.median(timed))
 
 
-def run_benchmark(rows: int, cols: int, updates: int, seed: int,
-                  tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                  max_dim: int = MAX_BENCH_DIM) -> BenchRecord:
+def run_benchmark(rows: int, cols: int, updates: int, seed: int) -> BenchRecord:
     """Time the masked-update path against per-update refactorization.
 
     The instance and every update are pure functions of (seed, config). Both
@@ -134,11 +126,11 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int,
         raise ValueError(f"updates must be >= 1, got {updates}")
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-    if max(rows, cols) > max_dim:
-        raise ValueError(f"dimensions {rows}x{cols} exceed the benchmark cap {max_dim}")
+    if max(rows, cols) > MAX_BENCH_DIM:
+        raise ValueError(f"dimensions {rows}x{cols} exceed the benchmark cap {MAX_BENCH_DIM}")
 
-    base_matrix = draw_well_conditioned(stream_generator(seed, 0), rows, cols, tol)
-    base = precompute(base_matrix, tol, seed=seed)
+    base_matrix = draw_well_conditioned(stream_generator(seed, 0), rows, cols)
+    base = precompute(base_matrix)
     masks = [_update_angles((rows, cols), seed, k) for k in range(updates)]
 
     structured_ns = []
@@ -150,7 +142,7 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int,
     naive_ns = []
     for t in masks:
         start = time.perf_counter_ns()
-        naive_update(base_matrix, t, tol)
+        naive_update(base_matrix, t)
         naive_ns.append(time.perf_counter_ns() - start)
 
     sample_count = max(1, updates // 100)
@@ -158,7 +150,7 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int,
     max_residual = 0.0
     for k in sample_indices:
         fast = apply_update(base, masks[k])
-        reference = naive_update(base_matrix, masks[k], tol)
+        reference = naive_update(base_matrix, masks[k])
         residual = float(np.linalg.norm(fast.array - reference.array))
         if rows == cols:
             masked = hadamard_product(base_matrix, masks[k].materialize())
@@ -166,7 +158,7 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int,
             residual = max(residual, float(identity_residual))
         max_residual = max(max_residual, residual)
 
-    limit = tol.residual_eps * max(rows, cols)
+    limit = DEFAULT_TOLERANCES.residual_eps * max(rows, cols)
     if max_residual > limit:
         raise RuntimeError(
             f"benchmark cross-check failed: residual {max_residual:.3e} > {limit:.3e} at {rows}x{cols}"

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    DenseMatrix,
-    SingularMatrixError,
-    ToleranceConfig,
-    frobenius_norm,
-    inverse_lu,
-)
+from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, frobenius_norm, inverse_lu
 from .angle import AngleMatrix
 from .pseudo import pinv_full_rank
 
@@ -31,6 +24,7 @@ __all__ = [
 ]
 
 MAX_SEED = 2**64 - 1
+MAX_DRAW_ATTEMPTS = 128
 
 
 def _validate_seed(seed: int) -> int:
@@ -60,7 +54,7 @@ def draw_angle(gen: np.random.Generator, rows: int, cols: int) -> AngleMatrix:
     )
 
 
-def condition_proxy(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def condition_proxy(a: DenseMatrix) -> float:
     """||A||_F * ||A^+||_F (plain inverse when square); inf for rank-deficient A.
 
     A cheap upper-bound stand-in for the spectral condition number, used only
@@ -68,24 +62,23 @@ def condition_proxy(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     """
     try:
         if a.rows == a.cols:
-            inv_norm = frobenius_norm(inverse_lu(a, tol))
+            inv_norm = frobenius_norm(inverse_lu(a))
         else:
-            inv_norm = frobenius_norm(pinv_full_rank(a, tol))
+            inv_norm = frobenius_norm(pinv_full_rank(a))
     except SingularMatrixError:
         return float("inf")
     return frobenius_norm(a) * inv_norm
 
 
-def draw_well_conditioned(gen: np.random.Generator, rows: int, cols: int,
-                          tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                          max_attempts: int = 128) -> DenseMatrix:
+def draw_well_conditioned(gen: np.random.Generator, rows: int, cols: int) -> DenseMatrix:
     """Standard-normal complex matrix, redrawn until the condition proxy is
-    within tol.condition_cap. Redraws continue the same stream, so the result
+    within condition_cap. Redraws continue the same stream, so the result
     is still a pure function of the generator state."""
-    for _ in range(max_attempts):
+    cap = DEFAULT_TOLERANCES.condition_cap
+    for _ in range(MAX_DRAW_ATTEMPTS):
         candidate = draw_dense(gen, rows, cols)
-        if condition_proxy(candidate, tol) <= tol.condition_cap:
+        if condition_proxy(candidate) <= cap:
             return candidate
     raise RuntimeError(
-        f"no {rows}x{cols} instance within condition cap {tol.condition_cap:g} after {max_attempts} draws"
+        f"no {rows}x{cols} instance within condition cap {cap:g} after {MAX_DRAW_ATTEMPTS} draws"
     )

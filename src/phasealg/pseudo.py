@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle import AngleMatrix, gram
-from .core import (
-    DEFAULT_TOLERANCES,
-    DenseMatrix,
-    ToleranceConfig,
-    checked_inverse,
-    lu_factorize,
-    rescale,
-)
+from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_inverse, lu_factorize, rescale
 
 __all__ = [
     "PenroseReport",
@@ -52,8 +45,7 @@ class PenroseReport:
         return max(self.r1, self.r2, self.r3, self.r4)
 
 
-def penrose_check(a: DenseMatrix, x: DenseMatrix,
-                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> PenroseReport:
+def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
     """Evaluate the four pseudoinverse conditions for candidate x against a."""
     if x.shape != (a.cols, a.rows):
         raise ValueError(f"penrose_check expects a {a.cols}x{a.rows} candidate for a {a.rows}x{a.cols} matrix, got {x.shape}")
@@ -65,11 +57,11 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix,
     r2 = float(np.linalg.norm(xa @ xx - xx))
     r3 = float(np.linalg.norm(ax.conj().T - ax))
     r4 = float(np.linalg.norm(xa.conj().T - xa))
-    limit = tol.residual_eps * (1.0 + float(np.linalg.norm(aa)))
+    limit = DEFAULT_TOLERANCES.residual_eps * (1.0 + float(np.linalg.norm(aa)))
     return PenroseReport(r1, r2, r3, r4, limit, max(r1, r2, r3, r4) <= limit)
 
 
-def pinv_full_rank(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
     """Pseudoinverse of a full-rank matrix via its smaller Gram system.
 
     Tall matrices solve (A^H A) X = A^H; wide ones form A^H (A A^H)^(-1);
@@ -80,27 +72,27 @@ def pinv_full_rank(a: DenseMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCES) ->
     """
     arr = a.array
     if a.rows == a.cols:
-        return lu_factorize(a).inverse(tol)
-    floor = tol.rank_eps * float(np.linalg.norm(arr)) ** 2
+        return lu_factorize(a).inverse()
+    floor = DEFAULT_TOLERANCES.rank_eps * float(np.linalg.norm(arr)) ** 2
     if a.rows > a.cols:
         gram_mat = DenseMatrix(arr.conj().T @ arr)
-        solved = lu_factorize(gram_mat).solve(arr.conj().T, tol, pivot_floor=floor)
+        solved = lu_factorize(gram_mat).solve(arr.conj().T, pivot_floor=floor)
         return DenseMatrix(solved)
     gram_mat = DenseMatrix(arr @ arr.conj().T)
-    gram_inv = lu_factorize(gram_mat).inverse(tol, pivot_floor=floor)
+    gram_inv = lu_factorize(gram_mat).inverse(pivot_floor=floor)
     return DenseMatrix(arr.conj().T @ gram_inv.array)
 
 
-def _pinv_gram(arr: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _pinv_gram(arr: np.ndarray) -> np.ndarray:
     """Production pseudoinverse of a full-rank array: the same Gram route as
     pinv_full_rank, with the one factorization done by checked_inverse."""
     m, n = arr.shape
     if m == n:
-        return checked_inverse(arr, tol)
+        return checked_inverse(arr)
     adjoint = arr.conj().T
     if m > n:
-        return checked_inverse(adjoint @ arr, tol) @ adjoint
-    return adjoint @ checked_inverse(arr @ adjoint, tol)
+        return checked_inverse(adjoint @ arr) @ adjoint
+    return adjoint @ checked_inverse(arr @ adjoint)
 
 
 def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:
@@ -117,11 +109,10 @@ def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMa
     return base_gram, scale, structured_gram
 
 
-def pinv_structured(a: DenseMatrix, t: AngleMatrix,
-                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Pseudoinverse of the masked matrix: pseudoinverse of A masked by the
     conjugate transpose of the angle matrix. One Gram solve on A; the masked
     matrix is never formed."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    return rescale(_pinv_gram(a.array, tol), -t.phi, -t.theta)
+    return rescale(_pinv_gram(a.array), -t.phi, -t.theta)

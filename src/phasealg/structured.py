@@ -9,17 +9,12 @@ route provides an independent small-dimension oracle for the same inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .angle import AngleMatrix
 from .core import (
-    DEFAULT_TOLERANCES,
     DenseMatrix,
     DeterminantRangeError,
-    SingularMatrixError,
-    ToleranceConfig,
     checked_inverse,
     lu_factorize,
     rescale,
@@ -30,7 +25,6 @@ __all__ = [
     "det_structured",
     "inverse_structured",
     "inverse_structured_transposed",
-    "Minor",
     "cofactor",
     "adjugate",
     "inverse_adjugate_structured",
@@ -73,46 +67,20 @@ def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
     return complex(sign * np.exp(1j * t.phase_sum()) * np.exp(log_abs))
 
 
-def inverse_structured(a: DenseMatrix, t: AngleMatrix,
-                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of the masked matrix: inverse(A) masked by the conjugate
     transpose of the angle matrix, i.e. inverse(A) rescaled by e^(-j*phi) on
     the rows and e^(-j*theta) on the columns. Factors A exactly once; the
     masked matrix is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
-    return rescale(checked_inverse(a.array, tol), -t.phi, -t.theta)
+    return rescale(checked_inverse(a.array), -t.phi, -t.theta)
 
 
-def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix,
-                                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DenseMatrix:
+def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of A masked by the transposed angle matrix: inverse(A) masked by
     the entrywise conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    return rescale(checked_inverse(a.array, tol), -t.theta, -t.phi)
-
-
-@dataclass(frozen=True)
-class Minor:
-    """Submatrix obtained by deleting one row and one column of a square matrix."""
-
-    source: DenseMatrix
-    deleted_row: int
-    deleted_col: int
-
-    def __post_init__(self):
-        n = self.source.rows
-        if self.source.cols != n:
-            raise ValueError(f"minors are defined for square matrices, got {self.source.shape}")
-        if n < 2:
-            raise ValueError("minors require dimension >= 2")
-        if not (0 <= self.deleted_row < n and 0 <= self.deleted_col < n):
-            raise ValueError(
-                f"minor indices ({self.deleted_row}, {self.deleted_col}) out of range for {n}x{n}"
-            )
-
-    def extract(self) -> DenseMatrix:
-        trimmed = np.delete(self.source.array, self.deleted_row, axis=0)
-        return DenseMatrix(np.delete(trimmed, self.deleted_col, axis=1))
+    return rescale(checked_inverse(a.array), -t.theta, -t.phi)
 
 
 def cofactor(a: DenseMatrix, i: int, j: int) -> complex:
@@ -132,7 +100,8 @@ def cofactor(a: DenseMatrix, i: int, j: int) -> complex:
     if n == 1:
         return complex(1.0)
     sign = -1.0 if (i + j) % 2 else 1.0
-    return complex(sign * lu_factorize(Minor(a, deleted_row=j, deleted_col=i).extract()).det())
+    minor = np.delete(np.delete(a.array, j, axis=0), i, axis=1)
+    return complex(sign * lu_factorize(DenseMatrix(minor)).det())
 
 
 def adjugate(a: DenseMatrix) -> DenseMatrix:
@@ -145,9 +114,7 @@ def adjugate(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(grid)
 
 
-def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix,
-                                tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                                adjugate_cap: int = ADJUGATE_CAP) -> DenseMatrix:
+def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Cofactor-expansion oracle for inverse_structured, capped at small sizes.
 
     Entry (i, j) is cofactor(a, i, j) / det(a) times the unit rotation by the
@@ -157,16 +124,10 @@ def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix,
     """
     _require_square_pair(a, t, "inverse_adjugate_structured")
     n = a.rows
-    if n > adjugate_cap:
-        raise ValueError(f"adjugate oracle capped at n <= {adjugate_cap}, got n = {n}")
+    if n > ADJUGATE_CAP:
+        raise ValueError(f"adjugate oracle capped at n <= {ADJUGATE_CAP}, got n = {n}")
     factorization = lu_factorize(a)
-    floor = tol.rank_eps * factorization.source_norm
-    worst = float(factorization.pivot_magnitudes().min())
-    if worst <= floor:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision: pivot {worst:.3e} <= threshold {floor:.3e}",
-            pivot=worst,
-        )
+    factorization._check_pivots()
     det = factorization.det()
     phase = np.exp(-1j * (t.phi[:, None] + t.theta[None, :]))  # (i, j) -> -(theta_j + phi_i)
     return DenseMatrix(adjugate(a).array / det * phase)

@@ -14,7 +14,6 @@ from .angle import gram, hadamard_inverse_transpose, triple_product_check
 from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
-    ToleranceConfig,
     frobenius_norm,
     hadamard_product,
     identity,
@@ -77,16 +76,17 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max())
 
 
-def _nonsingular_draw(gen, n: int, tol: ToleranceConfig) -> DenseMatrix:
+def _nonsingular_draw(gen, n: int) -> DenseMatrix:
     for _ in range(16):
         candidate = draw_dense(gen, n, n)
         factorization = lu_factorize(candidate)
-        if float(factorization.pivot_magnitudes().min()) > tol.rank_eps * factorization.source_norm:
+        floor = DEFAULT_TOLERANCES.rank_eps * factorization.source_norm
+        if float(factorization.pivot_magnitudes().min()) > floor:
             return candidate
     raise RuntimeError(f"could not draw a nonsingular {n}x{n} instance")
 
 
-def _suite_lemma1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
+def _suite_lemma1(trials: int, seed: int) -> list[dict]:
     duality = _Worst()
     involution = _Worst()
     unimodular = _Worst()
@@ -98,9 +98,10 @@ def _suite_lemma1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
         mask = draw_angle(gen, m, n)
         dense = mask.materialize().array
         herm = mask.hermitian().materialize().array
-        duality.add(_max_abs(hadamard_inverse_transpose(mask, tol).array - herm), DUALITY_LIMIT)
-        involution.add(_max_abs(mask.hermitian().hermitian().materialize().array - dense), tol.entry_eps)
-        unimodular.add(_max_abs(np.abs(dense) - 1.0), tol.entry_eps)
+        duality.add(_max_abs(hadamard_inverse_transpose(mask).array - herm), DUALITY_LIMIT)
+        involution.add(_max_abs(mask.hermitian().hermitian().materialize().array - dense),
+                       DEFAULT_TOLERANCES.entry_eps)
+        unimodular.add(_max_abs(np.abs(dense) - 1.0), DEFAULT_TOLERANCES.entry_eps)
         if m >= 2 and n >= 2:
             outer = dense[:, None, :, None] * dense[None, :, None, :]
             minors.add(_max_abs(outer - outer.transpose(0, 1, 3, 2)), MINOR_LIMIT)
@@ -112,12 +113,12 @@ def _suite_lemma1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     ]
 
 
-def _suite_lemma2(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
+def _suite_lemma2(trials: int, seed: int) -> list[dict]:
     det_identity = _Worst()
     for t in range(trials):
         gen = stream_generator(seed, t)
         n = int(gen.integers(1, 17))
-        matrix = _nonsingular_draw(gen, n, tol)
+        matrix = _nonsingular_draw(gen, n)
         mask = draw_angle(gen, n, n)
         base_det = lu_factorize(matrix).det()
         masked_det = lu_factorize(hadamard_product(matrix, mask.materialize())).det()
@@ -126,7 +127,7 @@ def _suite_lemma2(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     return [det_identity.entry("determinant_identity")]
 
 
-def _suite_lemma3(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
+def _suite_lemma3(trials: int, seed: int) -> list[dict]:
     left = _Worst()
     right = _Worst()
     diagonal = _Worst()
@@ -145,8 +146,7 @@ def _suite_lemma3(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
         right.add(_max_abs(dense @ herm - right_scale * right_gram.materialize().array),
                   right_scale * GRAM_LIMIT)
         diagonal.add(_max_abs(np.diag(herm @ dense) - m), m * GRAM_DIAG_LIMIT)
-        report = triple_product_check(mask, tol)
-        triple.add(report.residuals["max_entry_error"], m * n * TRIPLE_LIMIT)
+        triple.add(triple_product_check(mask), m * n * TRIPLE_LIMIT)
 
     # fixed 2x2 instance: the dense Gram must show the scale-2 difference
     # structure entry for entry
@@ -169,7 +169,7 @@ def _suite_lemma3(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     ]
 
 
-def _suite_thm1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
+def _suite_thm1(trials: int, seed: int) -> list[dict]:
     left = _Worst()
     right = _Worst()
     oracle = _Worst()
@@ -177,20 +177,20 @@ def _suite_thm1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     for t in range(trials):
         gen = stream_generator(seed, t)
         n = int(gen.integers(1, 33))
-        matrix = draw_well_conditioned(gen, n, n, tol)
+        matrix = draw_well_conditioned(gen, n, n)
         mask = draw_angle(gen, n, n)
         masked = hadamard_product(matrix, mask.materialize())
-        solution = inverse_structured(matrix, mask, tol)
+        solution = inverse_structured(matrix, mask)
         eye = identity(n).array
         limit = INVERSE_LIMIT * n
         left.add(float(np.linalg.norm(solution.array @ masked.array - eye)), limit)
         right.add(float(np.linalg.norm(masked.array @ solution.array - eye)), limit)
-        oracle.add(float(np.linalg.norm(solution.array - inverse_lu(masked, tol).array)), limit)
+        oracle.add(float(np.linalg.norm(solution.array - inverse_lu(masked).array)), limit)
         transposed_mask = hadamard_product(matrix, transpose(mask.materialize()))
         transposed_inverse.add(
             float(np.linalg.norm(
-                inverse_structured_transposed(matrix, mask, tol).array
-                - inverse_lu(transposed_mask, tol).array)),
+                inverse_structured_transposed(matrix, mask).array
+                - inverse_lu(transposed_mask).array)),
             limit,
         )
 
@@ -198,11 +198,11 @@ def _suite_thm1(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     for t in range(trials):
         gen = stream_generator(seed, trials + t)  # separate streams from the main loop
         n = int(gen.integers(1, 5))
-        matrix = draw_well_conditioned(gen, n, n, tol)
+        matrix = draw_well_conditioned(gen, n, n)
         mask = draw_angle(gen, n, n)
         adjugate_oracle.add(
-            _max_abs(inverse_adjugate_structured(matrix, mask, tol).array
-                     - inverse_structured(matrix, mask, tol).array),
+            _max_abs(inverse_adjugate_structured(matrix, mask).array
+                     - inverse_structured(matrix, mask).array),
             ADJUGATE_LIMIT,
         )
     return [
@@ -226,7 +226,7 @@ def _thm2_shape(gen, t: int) -> tuple[int, int]:
     return m, int(gen.integers(m + 1, 25))
 
 
-def _suite_thm2(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
+def _suite_thm2(trials: int, seed: int) -> list[dict]:
     penrose = _Worst()
     oracle = _Worst()
     factorization = _Worst()
@@ -235,16 +235,16 @@ def _suite_thm2(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
     for t in range(trials):
         gen = stream_generator(seed, t)
         m, n = _thm2_shape(gen, t)
-        matrix = draw_well_conditioned(gen, m, n, tol)
+        matrix = draw_well_conditioned(gen, m, n)
         mask = draw_angle(gen, m, n)
         masked = hadamard_product(matrix, mask.materialize())
-        solution = pinv_structured(matrix, mask, tol)
+        solution = pinv_structured(matrix, mask)
         solution_norm = frobenius_norm(solution)
 
-        report = penrose_check(masked, solution, tol)
+        report = penrose_check(masked, solution)
         penrose.add(report.worst(), report.tolerance)
         oracle.add(
-            float(np.linalg.norm(solution.array - pinv_full_rank(masked, tol).array)),
+            float(np.linalg.norm(solution.array - pinv_full_rank(masked).array)),
             PINV_LIMIT * (1.0 + solution_norm),
         )
         base_gram, scale, structured_gram = gram_hadamard_factorization(matrix, mask)
@@ -255,10 +255,10 @@ def _suite_thm2(trials: int, seed: int, tol: ToleranceConfig) -> list[dict]:
         )
         if m == n:
             degeneration.add(
-                _max_abs(solution.array - inverse_structured(matrix, mask, tol).array),
+                _max_abs(solution.array - inverse_structured(matrix, mask).array),
                 SQUARE_DEGENERATION_LIMIT,
             )
-        flipped = pinv_structured(conjugate_transpose(matrix), mask.hermitian(), tol)
+        flipped = pinv_structured(conjugate_transpose(matrix), mask.hermitian())
         duality.add(
             float(np.linalg.norm(flipped.array - solution.array.conj().T)),
             PINV_LIMIT * (1.0 + solution_norm),
@@ -281,19 +281,17 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int,
-              tol: ToleranceConfig = DEFAULT_TOLERANCES) -> dict:
+def run_suite(name: str, trials: int, seed: int) -> dict:
     """Run one named suite; returns {"suite", "checks", "passed"}."""
     if name not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    checks = _SUITE_RUNNERS[name](trials, seed, tol)
+    checks = _SUITE_RUNNERS[name](trials, seed)
     return {"suite": name, "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def run_suites(names, trials: int, seed: int,
-               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> dict:
+def run_suites(names, trials: int, seed: int) -> dict:
     """Run several suites and aggregate the verdict."""
-    suites = [run_suite(name, trials, seed, tol) for name in names]
+    suites = [run_suite(name, trials, seed) for name in names]
     return {"suites": suites, "passed": all(s["passed"] for s in suites)}

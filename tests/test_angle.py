@@ -1,4 +1,4 @@
-"""Angle vectors/matrices: materialization, conjugate-transpose duality, Gram structure."""
+"""Angle matrices: materialization, conjugate-transpose duality, Gram structure."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from phasealg import (
     AngleMatrix,
-    AngleVector,
-    angle_matrix,
     gram,
     hadamard_inverse_transpose,
     matmul,
@@ -19,29 +17,15 @@ from phasealg.generate import draw_angle, stream_generator
 ENTRY_EPS = 1e-12
 
 
-def test_angle_vector_validation_and_unit():
-    v = AngleVector([0.0, np.pi / 2])
-    assert len(v) == 2
-    assert np.allclose(v.unit(), [1, 1j], rtol=0, atol=1e-16)
-    assert np.abs(np.abs(AngleVector([0.3, -7.7, 100.0]).unit()) - 1.0).max() <= ENTRY_EPS
-    with pytest.raises(ValueError, match="at least one"):
-        AngleVector([])
-    with pytest.raises(ValueError, match="non-finite"):
-        AngleVector([np.inf])
-
-
-def test_angle_matrix_from_vectors():
+def test_materialize_frozen_values():
     assert np.allclose(
-        angle_matrix(AngleVector([0.0]), AngleVector([0.0])).materialize().array,
+        AngleMatrix(theta=[0.0], phi=[0.0]).materialize().array,
         [[1.0]], rtol=0, atol=0)
     assert np.allclose(
-        angle_matrix(AngleVector([0.0, np.pi]), AngleVector([0.0])).materialize().array,
+        AngleMatrix(theta=[0.0, np.pi], phi=[0.0]).materialize().array,
         [[1], [-1]], rtol=0, atol=1e-15)
-    quarter = angle_matrix(AngleVector([0.0, np.pi / 2]), AngleVector([0.0, np.pi / 2]))
+    quarter = AngleMatrix(theta=[0.0, np.pi / 2], phi=[0.0, np.pi / 2])
     assert np.allclose(quarter.materialize().array, [[1, 1j], [1j, -1]], rtol=0, atol=1e-15)
-
-
-def test_materialize_frozen_values():
     assert np.allclose(
         AngleMatrix(theta=[np.pi], phi=[0.0, np.pi]).materialize().array,
         [[-1, 1]], rtol=0, atol=1e-15)
@@ -51,9 +35,17 @@ def test_materialize_frozen_values():
     assert np.array_equal(
         AngleMatrix(theta=np.zeros(3), phi=np.zeros(2)).materialize().array,
         np.ones((3, 2)))
+    with pytest.raises(ValueError, match="at least one"):
+        AngleMatrix(theta=[], phi=[0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        AngleMatrix(theta=[0.0], phi=[np.inf])
+    with pytest.raises(ValueError, match="1-D"):
+        AngleMatrix(theta=[[0.0, 1.0]], phi=[0.0])
 
 
 def test_unit_modulus_invariant():
+    large = AngleMatrix(theta=[0.3, -7.7, 100.0], phi=[0.0])
+    assert np.abs(np.abs(large.materialize().array) - 1.0).max() <= ENTRY_EPS
     gen = stream_generator(31, 0)
     for _ in range(20):
         t = draw_angle(gen, int(gen.integers(1, 9)), int(gen.integers(1, 9)))
@@ -153,18 +145,13 @@ def test_gram_diagonal_scale_exact():
 
 
 def test_triple_product_small_cases():
-    report = triple_product_check(AngleMatrix(theta=[0.0], phi=[0.0]))
-    assert report.passed
-    assert report.residuals["max_entry_error"] == 0.0
-    report = triple_product_check(AngleMatrix(theta=[1.3, -0.2], phi=[0.4, 2.2]))
-    assert report.passed
-    assert report.residuals["max_entry_error"] <= 4 * ENTRY_EPS
+    assert triple_product_check(AngleMatrix(theta=[0.0], phi=[0.0])) == 0.0
+    assert triple_product_check(AngleMatrix(theta=[1.3, -0.2], phi=[0.4, 2.2])) <= 4 * ENTRY_EPS
 
 
 def test_triple_product_random_shapes():
     gen = stream_generator(59, 0)
-    report = triple_product_check(draw_angle(gen, 7, 4))
-    assert report.passed
+    assert triple_product_check(draw_angle(gen, 7, 4)) <= 7 * 4 * ENTRY_EPS
     for _ in range(10):
         m, n = int(gen.integers(1, 65)), int(gen.integers(1, 65))
         t = draw_angle(gen, m, n)

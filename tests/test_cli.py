@@ -122,6 +122,12 @@ def test_malformed_file_exits_2(tmp_path):
     assert run_cli("det", "--matrix", str(bad), "--angle", t_path) == 2
 
 
+def test_missing_file_exits_2(tmp_path, capsys):
+    _, t_path = write_identity_pair(tmp_path)
+    assert run_cli("det", "--matrix", str(tmp_path / "absent.json"), "--angle", t_path) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     assert run_cli("unknown-command") == 2
     assert run_cli("gen", "--rows", "2") == 2

@@ -11,13 +11,10 @@ from phasealg import (
     DenseMatrix,
     SingularMatrixError,
     ToleranceConfig,
-    all_ones,
-    conjugate,
     conjugate_transpose,
     det_lu,
     frobenius_norm,
     hadamard_inverse,
-    hadamard_power,
     hadamard_product,
     identity,
     inverse_lu,
@@ -84,7 +81,7 @@ def test_tolerance_config_rejects_non_positive():
 
 def test_hadamard_product_identity_and_zero_cases():
     a = DenseMatrix([[1 + 2j, -3, 0.5], [2j, 7, -1j]])
-    assert np.array_equal(hadamard_product(a, all_ones(2, 3)).array, a.array)
+    assert np.array_equal(hadamard_product(a, DenseMatrix(np.ones((2, 3)))).array, a.array)
     z = DenseMatrix(np.zeros((2, 2)))
     b = DenseMatrix([[1, 2], [3, 4]])
     assert np.array_equal(hadamard_product(z, b).array, np.zeros((2, 2)))
@@ -102,26 +99,8 @@ def test_hadamard_product_shape_mismatch_names_both_shapes():
         hadamard_product(DenseMatrix(np.ones((2, 3))), DenseMatrix(np.ones((3, 2))))
 
 
-def test_hadamard_power_cases():
-    a = DenseMatrix([[2, 1j], [-1, 4]])
-    assert np.array_equal(hadamard_power(a, 1).array, a.array)
-    expected = np.array([[4, -1], [1, 16]])
-    assert np.allclose(hadamard_power(a, 2).array, expected, rtol=0, atol=1e-15)
-
-
-def test_hadamard_power_zero_exponent_ignores_zero_entries():
-    a = DenseMatrix([[0, 1], [1, 1]])
-    assert np.array_equal(hadamard_power(a, 0).array, np.ones((2, 2)))
-
-
-def test_hadamard_power_negative_rejects_zero_entry():
-    a = DenseMatrix([[0, 1], [1, 1]])
-    with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        hadamard_power(a, -1)
-
-
 def test_hadamard_inverse_cases():
-    assert np.array_equal(hadamard_inverse(all_ones(3, 3)).array, np.ones((3, 3)))
+    assert np.array_equal(hadamard_inverse(DenseMatrix(np.ones((3, 3)))).array, np.ones((3, 3)))
     assert np.array_equal(hadamard_inverse(DenseMatrix([[2.0]])).array, [[0.5]])
     a = DenseMatrix([[1j, -1], [2j, 1 + 1j]])
     expected = np.array([[-1j, -1], [-0.5j, 0.5 - 0.5j]])
@@ -141,9 +120,8 @@ def test_hadamard_inverse_round_trip():
 def test_dense_algebra_basics():
     a = DenseMatrix([[1 + 1j, 2, -1], [0, 3j, 4]])
     assert np.array_equal(matmul(identity(3), transpose(a)).array, a.array.T)
-    assert np.array_equal(conjugate(a).array, a.array.conj())
     assert np.array_equal(conjugate_transpose(DenseMatrix([[1j]])).array, [[-1j]])
-    assert np.array_equal(conjugate_transpose(a).array, conjugate(transpose(a)).array)
+    assert np.array_equal(conjugate_transpose(a).array, transpose(a).array.conj())
     assert frobenius_norm(DenseMatrix([[3, 4j]])) == pytest.approx(5.0, abs=0)
     with pytest.raises(ValueError, match="matmul dimension mismatch"):
         matmul(a, a)
@@ -167,7 +145,7 @@ def test_hadamard_product_commutes(a, b):
 @given(arrays(np.complex128, (3, 3), elements=complex_entries))
 def test_hadamard_square_matches_self_product(a):
     m = DenseMatrix(a)
-    squared = hadamard_power(m, 2).array
+    squared = a ** 2
     product = hadamard_product(m, m).array
     assert np.abs(squared - product).max() <= DEFAULT_TOLERANCES.entry_eps * np.abs(product).max()
 
@@ -176,7 +154,7 @@ def test_hadamard_square_absolute_at_unit_scale():
     gen = stream_generator(11, 0)
     for _ in range(20):
         a = draw_dense(gen, 5, 3)
-        deviation = np.abs(hadamard_power(a, 2).array - hadamard_product(a, a).array).max()
+        deviation = np.abs(a.array ** 2 - hadamard_product(a, a).array).max()
         assert deviation <= DEFAULT_TOLERANCES.entry_eps
 
 

@@ -13,6 +13,7 @@ from phasealg import (
     inverse_lu,
     lu_factorization_count,
     naive_update,
+    penrose_check,
     precompute,
     run_benchmark,
 )
@@ -34,9 +35,9 @@ def test_precompute_tall_hand_case():
 def test_precompute_random_passes_penrose_at_construction():
     gen = stream_generator(137, 0)
     a = draw_well_conditioned(gen, 64, 64)
-    base = precompute(a, seed=137)
-    assert base.created_from_seed == 137
-    assert base.base_norm == pytest.approx(np.linalg.norm(a.array))
+    base = precompute(a)
+    assert base.shape == (64, 64)
+    assert penrose_check(a, base.base_pinv).passed
 
 
 def test_precompute_rejects_rank_deficient():

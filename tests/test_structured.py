@@ -9,7 +9,6 @@ from phasealg import (
     AngleMatrix,
     DenseMatrix,
     DeterminantRangeError,
-    Minor,
     SingularMatrixError,
     adjugate,
     cofactor,
@@ -208,16 +207,6 @@ def test_transposed_mask_matches_lu_oracle():
     x = inverse_structured_transposed(a, t)
     reference = inverse_lu(hadamard_product(a, transpose(t.materialize())))
     assert np.linalg.norm(x.array - reference.array) <= 1e-8 * 6
-
-
-def test_minor_extraction_and_bounds():
-    a = DenseMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    sub = Minor(a, deleted_row=1, deleted_col=0).extract()
-    assert np.array_equal(sub.array, [[2, 3], [8, 9]])
-    with pytest.raises(ValueError, match="out of range"):
-        Minor(a, deleted_row=3, deleted_col=0)
-    with pytest.raises(ValueError, match=">= 2"):
-        Minor(DenseMatrix([[1.0]]), deleted_row=0, deleted_col=0)
 
 
 def test_cofactor_identity_and_grid():
