@@ -17,7 +17,21 @@ from phasealg.generate import draw_angle, stream_generator
 ENTRY_EPS = 1e-12
 
 
-def test_materialize_frozen_values():
+def test_angle_vector_validation_and_unit():
+    t = AngleMatrix(theta=[0.0, np.pi / 2], phi=[0.0])
+    assert t.shape == (2, 1)
+    assert np.allclose(t.materialize().array, [[1], [1j]], rtol=0, atol=1e-16)
+    large = AngleMatrix(theta=[0.3, -7.7, 100.0], phi=[0.0])
+    assert np.abs(np.abs(large.materialize().array) - 1.0).max() <= ENTRY_EPS
+    with pytest.raises(ValueError, match="at least one"):
+        AngleMatrix(theta=[], phi=[0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        AngleMatrix(theta=[0.0], phi=[np.inf])
+    with pytest.raises(ValueError, match="1-D"):
+        AngleMatrix(theta=[[0.0, 1.0]], phi=[0.0])
+
+
+def test_angle_matrix_from_vectors():
     assert np.allclose(
         AngleMatrix(theta=[0.0], phi=[0.0]).materialize().array,
         [[1.0]], rtol=0, atol=0)
@@ -26,6 +40,9 @@ def test_materialize_frozen_values():
         [[1], [-1]], rtol=0, atol=1e-15)
     quarter = AngleMatrix(theta=[0.0, np.pi / 2], phi=[0.0, np.pi / 2])
     assert np.allclose(quarter.materialize().array, [[1, 1j], [1j, -1]], rtol=0, atol=1e-15)
+
+
+def test_materialize_frozen_values():
     assert np.allclose(
         AngleMatrix(theta=[np.pi], phi=[0.0, np.pi]).materialize().array,
         [[-1, 1]], rtol=0, atol=1e-15)
@@ -35,17 +52,9 @@ def test_materialize_frozen_values():
     assert np.array_equal(
         AngleMatrix(theta=np.zeros(3), phi=np.zeros(2)).materialize().array,
         np.ones((3, 2)))
-    with pytest.raises(ValueError, match="at least one"):
-        AngleMatrix(theta=[], phi=[0.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        AngleMatrix(theta=[0.0], phi=[np.inf])
-    with pytest.raises(ValueError, match="1-D"):
-        AngleMatrix(theta=[[0.0, 1.0]], phi=[0.0])
 
 
 def test_unit_modulus_invariant():
-    large = AngleMatrix(theta=[0.3, -7.7, 100.0], phi=[0.0])
-    assert np.abs(np.abs(large.materialize().array) - 1.0).max() <= ENTRY_EPS
     gen = stream_generator(31, 0)
     for _ in range(20):
         t = draw_angle(gen, int(gen.integers(1, 9)), int(gen.integers(1, 9)))
