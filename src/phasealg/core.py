@@ -234,31 +234,46 @@ def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> De
 
 
 class LUFactorization:
-    """Row-pivoted factorization P A = L U of a square matrix.
+    """Row-pivoted factorization P A = L U of a square matrix, stored packed.
 
-    Pivots are chosen by largest modulus, ties broken by lowest row index.
-    Singularity is decided at solve time by the pivot test
-    |u_ii| <= rank_eps * ||A||_F, never by determinant magnitude.
+    One n-by-n array holds U on and above its diagonal and the strict lower
+    part of the unit lower-triangular L below it. Pivots are chosen by largest
+    modulus, ties broken by lowest row index. Singularity is decided at solve
+    time by the pivot test |u_ii| <= rank_eps * ||A||_F, never by determinant
+    magnitude.
     """
 
-    __slots__ = ("permutation", "lower", "upper", "parity", "source_norm")
+    __slots__ = ("permutation", "packed", "parity", "source_norm")
 
-    def __init__(self, permutation, lower, upper, parity, source_norm):
+    def __init__(self, permutation, packed, parity, source_norm):
         self.permutation = permutation
-        self.lower = lower
-        self.upper = upper
+        self.packed = packed
         self.parity = parity
         self.source_norm = source_norm
 
     @property
     def size(self) -> int:
-        return self.upper.shape[0]
+        return self.packed.shape[0]
+
+    @property
+    def lower(self) -> np.ndarray:
+        """Unit lower-triangular L, built on demand (read-only)."""
+        out = np.tril(self.packed, -1) + np.eye(self.size, dtype=np.complex128)
+        out.flags.writeable = False
+        return out
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Upper-triangular U, built on demand (read-only)."""
+        out = np.triu(self.packed)
+        out.flags.writeable = False
+        return out
 
     def pivot_magnitudes(self) -> np.ndarray:
-        return np.abs(np.diag(self.upper))
+        return np.abs(np.diagonal(self.packed))
 
     def det(self) -> complex:
-        return complex(self.parity * np.prod(np.diag(self.upper)))
+        return complex(self.parity * np.prod(np.diagonal(self.packed)))
 
     def _check_pivots(self, pivot_floor: float | None = None):
         floor = DEFAULT_TOLERANCES.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
@@ -278,11 +293,12 @@ class LUFactorization:
         self._check_pivots(pivot_floor)
         b = np.asarray(rhs, dtype=np.complex128)[self.permutation]
         y = np.empty_like(b)
+        lu = self.packed
         for i in range(n):
-            y[i] = b[i] - self.lower[i, :i] @ y[:i]
+            y[i] = b[i] - lu[i, :i] @ y[:i]
         x = np.empty_like(y)
         for i in range(n - 1, -1, -1):
-            x[i] = (y[i] - self.upper[i, i + 1:] @ x[i + 1:]) / self.upper[i, i]
+            x[i] = (y[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
         return x
 
     def inverse(self, pivot_floor: float | None = None) -> DenseMatrix:
@@ -303,15 +319,15 @@ def lu_factorize(a: DenseMatrix) -> LUFactorization:
         p = k + int(np.argmax(np.abs(work[k:, k])))  # argmax takes the first max: lowest row wins ties
         if p != k:
             work[[k, p]] = work[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
             parity = -parity
         pivot = work[k, k]
         if pivot != 0 and k + 1 < n:
-            work[k + 1:, k] /= pivot
-            work[k + 1:, k + 1:] -= np.outer(work[k + 1:, k], work[k, k + 1:])
-    lower = np.tril(work, -1) + np.eye(n, dtype=np.complex128)
-    upper = np.triu(work)
-    return LUFactorization(perm, lower, upper, parity, float(np.linalg.norm(a.array)))
+            col = work[k + 1:, k]
+            col /= pivot
+            work[k + 1:, k + 1:] -= col[:, None] * work[k, None, k + 1:]
+    work.flags.writeable = False
+    return LUFactorization(perm, work, parity, float(np.linalg.norm(a.array)))
 
 
 def det_lu(a: DenseMatrix) -> complex:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, frobenius_norm, inverse_lu
+from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, frobenius_norm
 from .angle import AngleMatrix
-from .pseudo import pinv_full_rank
+from .pseudo import _pinv_gram
 
 __all__ = [
     "MAX_SEED",
@@ -55,16 +55,16 @@ def draw_angle(gen: np.random.Generator, rows: int, cols: int) -> AngleMatrix:
 
 
 def condition_proxy(a: DenseMatrix) -> float:
-    """||A||_F * ||A^+||_F (plain inverse when square); inf for rank-deficient A.
+    """||A||_F * ||A^+||_F (plain inverse when square); inf for input the
+    production route rejects as singular.
 
     A cheap upper-bound stand-in for the spectral condition number, used only
-    to filter generated test instances.
+    to filter generated test instances. It runs on the LAPACK route (the Gram
+    pseudoinverse of pinv_structured), never on the hand-LU oracles that the
+    filtered instances are later checked against.
     """
     try:
-        if a.rows == a.cols:
-            inv_norm = frobenius_norm(inverse_lu(a))
-        else:
-            inv_norm = frobenius_norm(pinv_full_rank(a))
+        inv_norm = float(np.linalg.norm(_pinv_gram(a.array)))
     except SingularMatrixError:
         return float("inf")
     return frobenius_norm(a) * inv_norm

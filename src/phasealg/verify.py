@@ -14,6 +14,7 @@ from .angle import gram, hadamard_inverse_transpose, triple_product_check
 from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
+    LUFactorization,
     frobenius_norm,
     hadamard_product,
     identity,
@@ -76,13 +77,14 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max())
 
 
-def _nonsingular_draw(gen, n: int) -> DenseMatrix:
+def _nonsingular_draw(gen, n: int) -> tuple[DenseMatrix, LUFactorization]:
+    """A square draw that passes the LU oracle's pivot test, with its factorization."""
     for _ in range(16):
         candidate = draw_dense(gen, n, n)
         factorization = lu_factorize(candidate)
         floor = DEFAULT_TOLERANCES.rank_eps * factorization.source_norm
         if float(factorization.pivot_magnitudes().min()) > floor:
-            return candidate
+            return candidate, factorization
     raise RuntimeError(f"could not draw a nonsingular {n}x{n} instance")
 
 
@@ -118,9 +120,9 @@ def _suite_lemma2(trials: int, seed: int) -> list[dict]:
     for t in range(trials):
         gen = stream_generator(seed, t)
         n = int(gen.integers(1, 17))
-        matrix = _nonsingular_draw(gen, n)
+        matrix, factorization = _nonsingular_draw(gen, n)
         mask = draw_angle(gen, n, n)
-        base_det = lu_factorize(matrix).det()
+        base_det = factorization.det()
         masked_det = lu_factorize(hadamard_product(matrix, mask.materialize())).det()
         residual = abs(det_structured(matrix, mask) - masked_det)
         det_identity.add(residual, DET_LIMIT * (1.0 + abs(base_det)))

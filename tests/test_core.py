@@ -194,6 +194,48 @@ def test_lu_factorization_residual_and_inverse():
         assert residual <= DEFAULT_TOLERANCES.residual_eps
 
 
+def _lu_contract_cases():
+    cases = [
+        DenseMatrix([[0, 1], [1, 0]]),             # swap, parity -1
+        DenseMatrix([[1, 0], [10, 1]]),            # swap to the larger pivot
+        DenseMatrix([[1, 2], [-1, 3]]),            # tied moduli: the lowest row wins
+        DenseMatrix([[0, 1, 2], [0, 3, 4], [5, 6, 8]]),
+        DenseMatrix([[0, 1], [0, 2]]),             # zero column: a zero pivot is kept
+    ]
+    for trial in range(20):
+        gen = stream_generator(41, trial)
+        n = int(gen.integers(1, 17))
+        cases.append(draw_dense(gen, n, n))
+        cases.append(DenseMatrix(np.round(draw_dense(gen, n, n).array)))  # integer entries tie often
+    return cases
+
+
+def test_packed_lu_contract():
+    for a in _lu_contract_cases():
+        f = lu_factorize(a)
+        lower, upper = f.lower, f.upper
+        n = a.rows
+        assert np.array_equal(np.diag(lower), np.ones(n))
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.array_equal(upper, np.triu(upper))
+        assert not lower.flags.writeable and not upper.flags.writeable
+        assert f.det() == complex(f.parity * np.prod(np.diag(upper)))
+        assert np.array_equal(f.pivot_magnitudes(), np.abs(np.diag(upper)))
+        p = np.eye(n)[f.permutation]
+        assert np.linalg.norm(p @ a.array - lower @ upper) <= DEFAULT_TOLERANCES.residual_eps * f.source_norm
+
+
+def test_packed_lu_inverse_on_pivoting_cases():
+    for a in _lu_contract_cases():
+        n = a.rows
+        try:
+            x = inverse_lu(a)
+        except SingularMatrixError:
+            assert lu_factorize(a).pivot_magnitudes().min() <= DEFAULT_TOLERANCES.rank_eps * frobenius_norm(a)
+            continue
+        assert np.linalg.norm(a.array @ x.array - np.eye(n)) <= DEFAULT_TOLERANCES.residual_eps
+
+
 def test_lu_determinant_is_multiplicative():
     for trial in range(20):
         gen = stream_generator(23, trial)

@@ -1,9 +1,11 @@
 """Seeded instance generation: keyed streams, seed validation, condition filtering."""
 
+import importlib
+
 import numpy as np
 import pytest
 
-from phasealg import DenseMatrix, identity
+from phasealg import DEFAULT_TOLERANCES, DenseMatrix, frobenius_norm, identity, inverse_lu, pinv_full_rank
 from phasealg.generate import (
     MAX_SEED,
     condition_proxy,
@@ -69,3 +71,35 @@ def test_draw_well_conditioned_respects_cap():
         gen = stream_generator(999, trial)
         a = draw_well_conditioned(gen, 12, 12)
         assert condition_proxy(a) <= 1e6
+
+
+def _raise_oracle_reached(*args, **kwargs):
+    raise AssertionError("instance filter reached the hand-LU oracle")
+
+
+def test_filter_never_reaches_the_oracle(monkeypatch):
+    for name in ("phasealg", "phasealg.core", "phasealg.pseudo", "phasealg.generate"):
+        module = importlib.import_module(name)
+        if hasattr(module, "lu_factorize"):
+            monkeypatch.setattr(module, "lu_factorize", _raise_oracle_reached)
+    gen = stream_generator(31, 0)
+    for rows, cols in ((7, 7), (9, 4), (4, 9)):
+        a = draw_well_conditioned(gen, rows, cols)
+        assert a.shape == (rows, cols)
+    assert condition_proxy(identity(4)) == pytest.approx(4.0)
+    assert condition_proxy(DenseMatrix([[1, 2], [2, 4]])) == np.inf
+
+
+def _hand_lu_proxy(a: DenseMatrix) -> float:
+    oracle = inverse_lu(a) if a.rows == a.cols else pinv_full_rank(a)
+    return frobenius_norm(a) * frobenius_norm(oracle)
+
+
+def test_accepted_draws_pass_the_hand_lu_proxy():
+    cap = DEFAULT_TOLERANCES.condition_cap
+    for seed in range(30):
+        gen = stream_generator(seed, 0)
+        n = int(gen.integers(1, 25))
+        for rows, cols in ((n, n), (n + 1 + seed % 4, n), (n, n + 1 + seed % 4)):
+            a = draw_well_conditioned(gen, rows, cols)
+            assert _hand_lu_proxy(a) <= cap, (seed, rows, cols)
