@@ -30,7 +30,6 @@ from .core import (
     inverse_lu,
     lu_factorization_count,
     lu_factorize,
-    matmul,
     transpose,
 )
 from .engine import (

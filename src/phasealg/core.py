@@ -1,6 +1,7 @@
 """Dense complex matrices, entrywise (Hadamard) algebra, the LAPACK production
-route (checked inverse, log-determinant, diagonal phase rescale) and a pivoted
-LU oracle."""
+route (checked_pinv for the inverse and full-rank pseudoinverse, slogdet for
+the log-determinant, rescale for the diagonal phase mask) and a pivoted LU
+oracle."""
 
 from __future__ import annotations
 
@@ -17,11 +18,10 @@ __all__ = [
     "identity",
     "transpose",
     "conjugate_transpose",
-    "matmul",
     "frobenius_norm",
     "hadamard_product",
     "hadamard_inverse",
-    "checked_inverse",
+    "checked_pinv",
     "slogdet",
     "rescale",
     "LUFactorization",
@@ -61,8 +61,10 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 class SingularMatrixError(ValueError):
     """Input is singular to working precision; carries the offending magnitude.
 
-    That is a pivot on the LU oracle, and on the production route the
-    reciprocal condition number (0.0 when LAPACK meets an exactly zero pivot).
+    That is a pivot on the LU oracle. On the production route (checked_pinv)
+    it is the reciprocal condition number of the system inverted, A itself
+    when square and its Gram system otherwise, or 0.0 when LAPACK meets an
+    exactly zero pivot.
     """
 
     def __init__(self, message: str, pivot: float):
@@ -149,12 +151,6 @@ def conjugate_transpose(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(np.conj(a.array.T))
 
 
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    if a.cols != b.rows:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return DenseMatrix(a.array @ b.array)
-
-
 def frobenius_norm(a: DenseMatrix) -> float:
     return float(np.linalg.norm(a.array))
 
@@ -190,17 +186,24 @@ def lu_factorization_count() -> int:
     return _lu_factorizations
 
 
-def checked_inverse(a: np.ndarray) -> np.ndarray:
-    """LAPACK inverse of a square array, rejected as singular when the
-    reciprocal Frobenius condition 1 / (||A||_F * ||A^-1||_F) is at most
-    rank_eps. Counts one factorization."""
+def checked_pinv(a: np.ndarray) -> np.ndarray:
+    """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
+    inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide. The one system S
+    inverted is rejected as singular when its reciprocal Frobenius condition
+    1 / (||S||_F * ||S^-1||_F) is at most rank_eps. Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
+    m, n = a.shape
+    if m == n:
+        system = a
+    else:
+        adjoint = a.conj().T
+        system = adjoint @ a if m > n else a @ adjoint
     try:
-        inv = np.linalg.inv(a)
+        inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    reciprocal_condition = 1.0 / (float(np.linalg.norm(a)) * float(np.linalg.norm(inv)))
+    reciprocal_condition = 1.0 / (float(np.linalg.norm(system)) * float(np.linalg.norm(inv)))
     threshold = DEFAULT_TOLERANCES.rank_eps
     if not reciprocal_condition > threshold:  # also rejects nan from overflowed norms
         raise SingularMatrixError(
@@ -208,7 +211,9 @@ def checked_inverse(a: np.ndarray) -> np.ndarray:
             f"{reciprocal_condition:.3e} <= threshold {threshold:.3e}",
             pivot=reciprocal_condition,
         )
-    return inv
+    if m == n:
+        return inv
+    return inv @ adjoint if m > n else adjoint @ inv
 
 
 def slogdet(a: np.ndarray) -> tuple[complex, float]:

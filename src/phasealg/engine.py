@@ -16,12 +16,12 @@ from .core import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
     SingularMatrixError,
+    checked_pinv,
     hadamard_product,
-    inverse_lu,
     rescale,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
-from .pseudo import _pinv_gram, penrose_check, pinv_full_rank
+from .pseudo import penrose_check, pinv_full_rank
 
 __all__ = [
     "PrecomputedBase",
@@ -51,7 +51,7 @@ class PrecomputedBase:
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it."""
-    base_pinv = DenseMatrix._wrap(_pinv_gram(a.array))
+    base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
     report = penrose_check(a, base_pinv)
     if not report.passed:
         raise RuntimeError(
@@ -78,8 +78,6 @@ def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
         raise ValueError(f"naive_update shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
     masked = hadamard_product(a, t.materialize())
     try:
-        if a.rows == a.cols:
-            return inverse_lu(masked)
         return pinv_full_rank(masked)
     except SingularMatrixError as err:
         # A unit-modulus mask cannot change the rank; reaching this means the

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, frobenius_norm
+from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, checked_pinv, frobenius_norm
 from .angle import AngleMatrix
-from .pseudo import _pinv_gram
 
 __all__ = [
     "MAX_SEED",
@@ -59,12 +58,12 @@ def condition_proxy(a: DenseMatrix) -> float:
     production route rejects as singular.
 
     A cheap upper-bound stand-in for the spectral condition number, used only
-    to filter generated test instances. It runs on the LAPACK route (the Gram
-    pseudoinverse of pinv_structured), never on the hand-LU oracles that the
-    filtered instances are later checked against.
+    to filter generated test instances. It runs on the production route
+    (core.checked_pinv, one LAPACK factorization), never on the hand-LU
+    oracles that the filtered instances are later checked against.
     """
     try:
-        inv_norm = float(np.linalg.norm(_pinv_gram(a.array)))
+        inv_norm = float(np.linalg.norm(checked_pinv(a.array)))
     except SingularMatrixError:
         return float("inf")
     return frobenius_norm(a) * inv_norm

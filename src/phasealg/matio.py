@@ -48,7 +48,10 @@ class MatrixFormatError(ValueError):
 def _real(value, path: str, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MatrixFormatError(f"{path}: field '{field}' must hold real numbers, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise MatrixFormatError(f"{path}: field '{field}' holds an integer outside the float64 range") from None
 
 
 def _dense_payload(a: DenseMatrix) -> dict:
@@ -87,7 +90,7 @@ def _parse_dense(payload: dict, path: str) -> DenseMatrix:
         data = payload["data"]
     except KeyError as err:
         raise MatrixFormatError(f"{path}: dense matrix file is missing field {err.args[0]!r}") from None
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in (rows, cols)) or rows < 1 or cols < 1:
         raise MatrixFormatError(f"{path}: fields 'rows'/'cols' must be positive integers, got {rows!r}/{cols!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         count = len(data) if isinstance(data, list) else data

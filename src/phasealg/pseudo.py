@@ -3,8 +3,9 @@
 The pseudoinverse of a full-rank matrix comes from the invertible Gram system
 on its smaller side; the pseudoinverse of the phase-masked matrix is then the
 base pseudoinverse masked by the conjugate-transposed angle matrix. The
-production route solves the Gram system on LAPACK; pinv_full_rank is the
-hand-LU oracle for it. Rank deficiency is out of scope and rejected.
+production route is core.checked_pinv, which solves the Gram system on
+LAPACK; pinv_full_rank is the hand-LU oracle for it. Rank deficiency is out of
+scope and rejected.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle import AngleMatrix, gram
-from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_inverse, lu_factorize, rescale
+from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_pinv, lu_factorize, rescale
 
 __all__ = [
     "PenroseReport",
@@ -83,18 +84,6 @@ def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(arr.conj().T @ gram_inv.array)
 
 
-def _pinv_gram(arr: np.ndarray) -> np.ndarray:
-    """Production pseudoinverse of a full-rank array: the same Gram route as
-    pinv_full_rank, with the one factorization done by checked_inverse."""
-    m, n = arr.shape
-    if m == n:
-        return checked_inverse(arr)
-    adjoint = arr.conj().T
-    if m > n:
-        return checked_inverse(adjoint @ arr) @ adjoint
-    return adjoint @ checked_inverse(arr @ adjoint)
-
-
 def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:
     """Factor the column Gram of the masked matrix without forming it.
 
@@ -115,4 +104,4 @@ def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     matrix is never formed."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    return rescale(_pinv_gram(a.array), -t.phi, -t.theta)
+    return rescale(checked_pinv(a.array), -t.phi, -t.theta)

@@ -15,7 +15,7 @@ from .angle import AngleMatrix
 from .core import (
     DenseMatrix,
     DeterminantRangeError,
-    checked_inverse,
+    checked_pinv,
     lu_factorize,
     rescale,
     slogdet,
@@ -52,7 +52,8 @@ def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
 
     Built from LAPACK's log-determinant, so it is never inf or nan: an exactly
     singular A gives 0, and a modulus outside the normal float64 range raises
-    DeterminantRangeError.
+    DeterminantRangeError. A phase sum that overflows float64 does not spoil
+    the rotation either.
     """
     _require_square_pair(a, t, "det_structured")
     sign, log_abs = slogdet(a.array)
@@ -64,7 +65,16 @@ def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
             f"[exp({_LOG_TINY:.6g}), exp({_LOG_MAX:.6g})]",
             log_abs=log_abs,
         )
-    return complex(sign * np.exp(1j * t.phase_sum()) * np.exp(log_abs))
+    with np.errstate(over="ignore"):
+        total = t.phase_sum()
+    if np.isfinite(total):
+        rotation = np.exp(1j * total)
+    else:
+        # The sum overflowed: multiply the per-phase unit factors instead, as
+        # rescale does. Reducing the phases mod 2*pi would not help, since
+        # fl(2*pi) != 2*pi.
+        rotation = np.prod(np.exp(1j * t.theta)) * np.prod(np.exp(1j * t.phi))
+    return complex(sign * rotation * np.exp(log_abs))
 
 
 def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
@@ -73,14 +83,14 @@ def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     the rows and e^(-j*theta) on the columns. Factors A exactly once; the
     masked matrix is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
-    return rescale(checked_inverse(a.array), -t.phi, -t.theta)
+    return rescale(checked_pinv(a.array), -t.phi, -t.theta)
 
 
 def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of A masked by the transposed angle matrix: inverse(A) masked by
     the entrywise conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    return rescale(checked_inverse(a.array), -t.theta, -t.phi)
+    return rescale(checked_pinv(a.array), -t.theta, -t.phi)
 
 
 def cofactor(a: DenseMatrix, i: int, j: int) -> complex:

@@ -9,7 +9,6 @@ from phasealg import (
     AngleMatrix,
     gram,
     hadamard_inverse_transpose,
-    matmul,
     triple_product_check,
 )
 from phasealg.generate import draw_angle, stream_generator
@@ -119,8 +118,8 @@ def test_gram_two_by_two_structure():
     scale, g = gram(t, "left")
     assert scale == 2
     assert np.allclose(g.materialize().array, [[1, -1], [-1, 1]], rtol=0, atol=1e-15)
-    product = matmul(t.hermitian().materialize(), t.materialize())
-    assert np.allclose(product.array, [[2, -2], [-2, 2]], rtol=0, atol=1e-14)
+    product = t.hermitian().materialize().array @ t.materialize().array
+    assert np.allclose(product, [[2, -2], [-2, 2]], rtol=0, atol=1e-14)
 
 
 def test_gram_of_zero_phases():

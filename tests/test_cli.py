@@ -122,6 +122,27 @@ def test_malformed_file_exits_2(tmp_path):
     assert run_cli("det", "--matrix", str(bad), "--angle", t_path) == 2
 
 
+def test_integer_beyond_float64_exits_2(tmp_path, capsys):
+    a_path, t_path = write_identity_pair(tmp_path, n=1)
+    huge = "1" + "0" * 400
+    bad_dense = tmp_path / "bad_dense.json"
+    bad_dense.write_text(f'{{"kind": "dense", "rows": 1, "cols": 1, "data": [[{huge}, 0.0]]}}')
+    bad_angle = tmp_path / "bad_angle.json"
+    bad_angle.write_text(f'{{"kind": "angle", "theta": [{huge}], "phi": [0.0]}}')
+    assert run_cli("det", "--matrix", str(bad_dense), "--angle", t_path) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli("det", "--matrix", a_path, "--angle", str(bad_angle)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_boolean_dimensions_exit_2(tmp_path, capsys):
+    _, t_path = write_identity_pair(tmp_path, n=1)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "dense", "rows": true, "cols": true, "data": [[1.0, 0.0]]}')
+    assert run_cli("det", "--matrix", str(bad), "--angle", t_path) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     _, t_path = write_identity_pair(tmp_path)
     assert run_cli("det", "--matrix", str(tmp_path / "absent.json"), "--angle", t_path) == 2

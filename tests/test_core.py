@@ -1,11 +1,15 @@
 """Dense matrix type, entrywise algebra, and the LU oracle."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phasealg
 from phasealg import (
     DEFAULT_TOLERANCES,
     DenseMatrix,
@@ -20,7 +24,6 @@ from phasealg import (
     inverse_lu,
     lu_factorization_count,
     lu_factorize,
-    matmul,
     transpose,
 )
 from phasealg.core import rescale
@@ -119,12 +122,10 @@ def test_hadamard_inverse_round_trip():
 
 def test_dense_algebra_basics():
     a = DenseMatrix([[1 + 1j, 2, -1], [0, 3j, 4]])
-    assert np.array_equal(matmul(identity(3), transpose(a)).array, a.array.T)
+    assert np.array_equal(identity(3).array @ transpose(a).array, a.array.T)
     assert np.array_equal(conjugate_transpose(DenseMatrix([[1j]])).array, [[-1j]])
     assert np.array_equal(conjugate_transpose(a).array, transpose(a).array.conj())
     assert frobenius_norm(DenseMatrix([[3, 4j]])) == pytest.approx(5.0, abs=0)
-    with pytest.raises(ValueError, match="matmul dimension mismatch"):
-        matmul(a, a)
 
 
 complex_entries = st.complex_numbers(
@@ -242,7 +243,7 @@ def test_lu_determinant_is_multiplicative():
         n = int(gen.integers(1, 9))
         a = draw_dense(gen, n, n)
         b = draw_dense(gen, n, n)
-        product_det = det_lu(matmul(a, b))
+        product_det = det_lu(DenseMatrix(a.array @ b.array))
         separate = det_lu(a) * det_lu(b)
         assert abs(product_det - separate) <= 1e-10 * (1 + abs(separate))
 
@@ -258,3 +259,34 @@ def test_lu_factorization_counter_increments():
     before = lu_factorization_count()
     lu_factorize(identity(3))
     assert lu_factorization_count() == before + 1
+
+
+LAPACK_SOLVERS = {"inv", "solve", "pinv", "slogdet", "det", "qr", "svd", "lstsq"}
+
+
+def _lapack_solver_calls(tree: ast.AST) -> list[tuple[str, int]]:
+    """(routine, line) of every numpy.linalg solver call or import in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            through_linalg = (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
+                isinstance(owner, ast.Name) and owner.id == "linalg")
+            if through_linalg and node.func.attr in LAPACK_SOLVERS:
+                found.append((node.func.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            found.extend((alias.name, node.lineno) for alias in node.names)
+    return found
+
+
+def test_only_core_calls_lapack_solvers():
+    package = pathlib.Path(phasealg.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _lapack_solver_calls(tree)
+        if path.name != "core.py":
+            assert not calls, f"{path.name} calls numpy.linalg solvers {calls}"
+            continue
+        pinv = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "checked_pinv")
+        inverses = [line for name, line in calls if name == "inv"]
+        assert inverses and all(pinv.lineno <= line <= pinv.end_lineno for line in inverses)
