@@ -63,8 +63,18 @@ class AngleMatrix:
         return (self.theta.size, self.phi.size)
 
     def materialize(self) -> DenseMatrix:
-        """Dense form: cos and sin of the summed phase, per entry."""
-        return DenseMatrix(np.exp(1j * (self.theta[:, None] + self.phi[None, :])))
+        """Dense form: cos and sin of the summed phase, per entry.
+
+        This is the one dense mask; every oracle builds its mask here. When
+        some theta_i + phi_k overflows float64, the entries are products of
+        the per-phase unit factors instead, as in rescale.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum gives nan, which DenseMatrix rejects
+            dense = np.exp(1j * (self.theta[:, None] + self.phi[None, :]))
+        try:
+            return DenseMatrix(dense)
+        except ValueError:
+            return DenseMatrix(np.exp(1j * self.theta)[:, None] * np.exp(1j * self.phi)[None, :])
 
     def hermitian(self) -> AngleMatrix:
         """Conjugate transpose as a phase swap: an n-by-m angle matrix."""

@@ -20,10 +20,10 @@ from .core import (
     DenseMatrix,
     DeterminantRangeError,
     SingularMatrixError,
+    det_lu,
     hadamard_product,
     identity,
     inverse_lu,
-    lu_factorize,
 )
 from .engine import run_benchmark
 from .generate import draw_angle, draw_dense, stream_generator
@@ -74,7 +74,7 @@ def _cmd_det(args, argv):
     matrix = _load_dense(args.matrix)
     mask = _load_angle(args.angle)
     structured = det_structured(matrix, mask)
-    oracle = lu_factorize(hadamard_product(matrix, mask.materialize())).det()
+    oracle = det_lu(hadamard_product(matrix, mask.materialize()))
     print(f"structured: {_format_complex(structured)}")
     print(f"oracle: {_format_complex(oracle)}")
     print(f"difference: {abs(structured - oracle)!r}")
@@ -85,11 +85,12 @@ def _cmd_inv(args, argv):
     matrix = _load_dense(args.matrix)
     mask = _load_angle(args.angle)
     solution = inverse_structured(matrix, mask)
+    if args.oracle:  # before any write, so a failing oracle leaves no --out behind
+        masked = hadamard_product(matrix, mask.materialize())
+        reference = inverse_lu(masked)
     write_matrix(args.out, solution)
     print(f"wrote {args.out}")
     if args.oracle:
-        masked = hadamard_product(matrix, mask.materialize())
-        reference = inverse_lu(masked)
         oracle_path = f"{args.out}.oracle"
         write_matrix(oracle_path, reference)
         print(f"wrote {oracle_path}")
@@ -104,11 +105,12 @@ def _cmd_pinv(args, argv):
     matrix = _load_dense(args.matrix)
     mask = _load_angle(args.angle)
     solution = pinv_structured(matrix, mask)
+    if args.oracle:  # before any write, so a failing oracle leaves no --out behind
+        masked = hadamard_product(matrix, mask.materialize())
+        reference = pinv_full_rank(masked)
     write_matrix(args.out, solution)
     print(f"wrote {args.out}")
     if args.oracle:
-        masked = hadamard_product(matrix, mask.materialize())
-        reference = pinv_full_rank(masked)
         oracle_path = f"{args.out}.oracle"
         write_matrix(oracle_path, reference)
         print(f"wrote {oracle_path}")

@@ -241,11 +241,13 @@ def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> De
 class LUFactorization:
     """Row-pivoted factorization P A = L U of a square matrix, stored packed.
 
-    One n-by-n array holds U on and above its diagonal and the strict lower
-    part of the unit lower-triangular L below it. Pivots are chosen by largest
-    modulus, ties broken by lowest row index. Singularity is decided at solve
-    time by the pivot test |u_ii| <= rank_eps * ||A||_F, never by determinant
-    magnitude.
+    `packed` is one read-only n-by-n array: U on and above its diagonal, and
+    below it the strict lower part of the unit lower-triangular L. Row i of
+    P A is row `permutation[i]` of A, and `parity` is the sign of P. Pivots
+    are chosen by largest modulus, ties broken by lowest row index.
+    Singularity is decided at solve time by the pivot test
+    |u_ii| <= rank_eps * ||A||_F (`source_norm` is ||A||_F), never by
+    determinant magnitude.
     """
 
     __slots__ = ("permutation", "packed", "parity", "source_norm")
@@ -256,34 +258,12 @@ class LUFactorization:
         self.parity = parity
         self.source_norm = source_norm
 
-    @property
-    def size(self) -> int:
-        return self.packed.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Unit lower-triangular L, built on demand (read-only)."""
-        out = np.tril(self.packed, -1) + np.eye(self.size, dtype=np.complex128)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def upper(self) -> np.ndarray:
-        """Upper-triangular U, built on demand (read-only)."""
-        out = np.triu(self.packed)
-        out.flags.writeable = False
-        return out
-
-    def pivot_magnitudes(self) -> np.ndarray:
-        return np.abs(np.diagonal(self.packed))
-
     def det(self) -> complex:
         return complex(self.parity * np.prod(np.diagonal(self.packed)))
 
     def _check_pivots(self, pivot_floor: float | None = None):
         floor = DEFAULT_TOLERANCES.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
-        pivots = self.pivot_magnitudes()
-        worst = float(pivots.min())
+        worst = float(np.abs(np.diagonal(self.packed)).min())
         if worst <= floor:
             raise SingularMatrixError(
                 f"matrix is singular to working precision: pivot {worst:.3e} <= threshold {floor:.3e}",
@@ -292,7 +272,7 @@ class LUFactorization:
 
     def solve(self, rhs: np.ndarray, pivot_floor: float | None = None) -> np.ndarray:
         """Solve A X = rhs by forward/back substitution over all columns at once."""
-        n = self.size
+        n = self.packed.shape[0]
         if rhs.shape[0] != n:
             raise ValueError(f"solve dimension mismatch: factor is {n}x{n}, rhs has {rhs.shape[0]} rows")
         self._check_pivots(pivot_floor)
@@ -307,7 +287,7 @@ class LUFactorization:
         return x
 
     def inverse(self, pivot_floor: float | None = None) -> DenseMatrix:
-        return DenseMatrix(self.solve(np.eye(self.size, dtype=np.complex128), pivot_floor))
+        return DenseMatrix(self.solve(np.eye(self.packed.shape[0], dtype=np.complex128), pivot_floor))
 
 
 def lu_factorize(a: DenseMatrix) -> LUFactorization:

@@ -16,6 +16,7 @@ from .core import (
     DenseMatrix,
     DeterminantRangeError,
     checked_pinv,
+    det_lu,
     lu_factorize,
     rescale,
     slogdet,
@@ -111,7 +112,7 @@ def cofactor(a: DenseMatrix, i: int, j: int) -> complex:
         return complex(1.0)
     sign = -1.0 if (i + j) % 2 else 1.0
     minor = np.delete(np.delete(a.array, j, axis=0), i, axis=1)
-    return complex(sign * lu_factorize(DenseMatrix(minor)).det())
+    return complex(sign * det_lu(DenseMatrix(minor)))
 
 
 def adjugate(a: DenseMatrix) -> DenseMatrix:
@@ -127,10 +128,9 @@ def adjugate(a: DenseMatrix) -> DenseMatrix:
 def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Cofactor-expansion oracle for inverse_structured, capped at small sizes.
 
-    Entry (i, j) is cofactor(a, i, j) / det(a) times the unit rotation by the
-    negated phase sum theta_j + phi_i. The phase factor is evaluated as cos/sin
-    of the negated sum, never as a complex reciprocal, so its modulus stays 1
-    to rounding.
+    Entry (i, j) is cofactor(a, i, j) / det(a) times entry (i, j) of the
+    materialized conjugate-transposed angle matrix, the unit rotation by
+    -(theta_j + phi_i).
     """
     _require_square_pair(a, t, "inverse_adjugate_structured")
     n = a.rows
@@ -138,6 +138,4 @@ def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
         raise ValueError(f"adjugate oracle capped at n <= {ADJUGATE_CAP}, got n = {n}")
     factorization = lu_factorize(a)
     factorization._check_pivots()
-    det = factorization.det()
-    phase = np.exp(-1j * (t.phi[:, None] + t.theta[None, :]))  # (i, j) -> -(theta_j + phi_i)
-    return DenseMatrix(adjugate(a).array / det * phase)
+    return DenseMatrix(adjugate(a).array / factorization.det() * t.hermitian().materialize().array)

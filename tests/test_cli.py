@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 
-from phasealg import AngleMatrix, DenseMatrix, identity, read_matrix, write_matrix
+from phasealg import AngleMatrix, DenseMatrix, SingularMatrixError, identity, read_matrix, write_matrix
 from phasealg.cli import main
 
 
@@ -86,6 +86,34 @@ def test_pinv_rectangular(tmp_path):
                    "--out", str(out_path), "--oracle") == 0
     x = read_matrix(out_path)
     assert np.allclose(x.array, [[0.5, -0.5j]], rtol=0, atol=1e-15)
+
+
+def test_failing_oracle_writes_no_output(tmp_path, monkeypatch, capsys):
+    def singular(_):
+        raise SingularMatrixError("matrix is singular to working precision: oracle", pivot=0.0)
+
+    monkeypatch.setattr("phasealg.cli.inverse_lu", singular)
+    monkeypatch.setattr("phasealg.cli.pinv_full_rank", singular)
+    a_path, t_path = write_identity_pair(tmp_path)
+    for command in ("inv", "pinv"):
+        out_path = tmp_path / f"{command}.json"
+        assert run_cli(command, "--matrix", a_path, "--angle", t_path, "--out", str(out_path), "--oracle") == 3
+        assert "singular" in capsys.readouterr().err
+        assert not out_path.exists()
+        assert not (tmp_path / f"{command}.json.oracle").exists()
+
+
+def test_oracles_with_overflowing_phase_sum_exit_0(tmp_path, capsys):
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    write_matrix(a_path, DenseMatrix([[2.0]]))
+    write_matrix(t_path, AngleMatrix(theta=[1e308], phi=[1e308]))
+    out_path = str(tmp_path / "x.json")
+    for command in (("det",), ("inv", "--out", out_path, "--oracle"), ("pinv", "--out", out_path, "--oracle")):
+        assert run_cli(*command, "--matrix", str(a_path), "--angle", str(t_path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert not re.search(r"\bnan\b", captured.out)
 
 
 def test_pinv_rank_deficient_exits_3(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phasealg import (
+    DEFAULT_TOLERANCES,
     AngleMatrix,
     DenseMatrix,
     DeterminantRangeError,
@@ -28,6 +29,7 @@ from phasealg import (
     transpose,
 )
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
+from phasealg.verify import ADJUGATE_LIMIT
 
 
 def test_det_identity_matrix_zero_phases():
@@ -211,6 +213,12 @@ def test_det_with_overflowing_phase_sum_stays_finite():
     det = det_structured(a, t)
     assert np.isfinite(det.real) and np.isfinite(det.imag)
     assert abs(det) == pytest.approx(abs(np.linalg.det(a.array)), rel=1e-13)
+    for base, mask in ((one, huge), (a, t)):
+        dense = mask.materialize().array
+        assert np.isfinite(dense).all()
+        assert np.abs(np.abs(dense) - 1.0).max() <= DEFAULT_TOLERANCES.entry_eps
+        oracle = inverse_adjugate_structured(base, mask).array
+        assert np.abs(oracle - inverse_structured(base, mask).array).max() <= ADJUGATE_LIMIT
 
 
 def test_det_of_exactly_singular_base_is_zero():

@@ -1,0 +1,62 @@
+"""Check that two source trees write the same `phasealg verify` reports.
+
+Usage: python tools/same_verify_reports.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are directories holding the `phasealg` package (the
+`src` directory of each checkout). For each suite below and each seed, the
+script runs `python -m phasealg verify --suite SUITE --trials 20 --seed SEED`
+once with PYTHONPATH set to each directory, drops the `wall_time_s` line of
+each report, and compares the rest byte for byte together with the exit code.
+Suites run one at a time rather than as `all`, so a suite added under a new
+name does not count as a difference.
+
+Exit 0 when every pair matches and 1 naming the first suite and seed that
+differ. Exit 2 when a directory holds no `phasealg` package or a run writes
+no report.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+SUITES = ("lemma1", "lemma2", "lemma3", "thm1", "thm2")
+SEEDS = (0, 7, 1729, 123456789)
+TRIALS = 20
+
+
+def verify_report(src: str, suite: str, seed: int) -> tuple[int, str]:
+    """(exit code, report without its wall_time_s line) of one verify run."""
+    argv = [sys.executable, "-m", "phasealg", "verify",
+            "--suite", suite, "--trials", str(TRIALS), "--seed", str(seed)]
+    run = subprocess.run(argv, cwd=src, env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=False)
+    if run.returncode not in (0, 1) or not run.stdout:  # a crash exits 1 with no report
+        sys.stderr.write(run.stderr)
+        print(f"error: {' '.join(argv[1:])} with PYTHONPATH={src} exited {run.returncode}", file=sys.stderr)
+        raise SystemExit(2)
+    kept = [line for line in run.stdout.splitlines(keepends=True) if '"wall_time_s":' not in line]
+    return run.returncode, "".join(kept)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    base, head = (os.path.abspath(path) for path in argv)
+    for src in (base, head):
+        if not os.path.isfile(os.path.join(src, "phasealg", "__init__.py")):
+            print(f"error: {src} holds no phasealg package", file=sys.stderr)
+            return 2
+    for suite in SUITES:
+        for seed in SEEDS:
+            if verify_report(base, suite, seed) != verify_report(head, suite, seed):
+                print(f"verify reports differ: suite {suite}, seed {seed}")
+                return 1
+    print(f"verify reports match: {len(SUITES)} suites x {len(SEEDS)} seeds at --trials {TRIALS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
