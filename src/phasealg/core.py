@@ -151,8 +151,23 @@ def conjugate_transpose(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(np.conj(a.array.T))
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F at any scale. np.linalg.norm sums squares, which overflow to inf
+    once entries pass about 1.3e154 and can all underflow to 0; only then is
+    the norm taken again on x / max|x|, so finite nonzero results are exactly
+    np.linalg.norm's."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if 0.0 < norm < np.inf:
+        return norm
+    largest = float(np.abs(x).max())
+    if not 0.0 < largest < np.inf:  # all zero, or inf/nan entries
+        return norm
+    return largest * float(np.linalg.norm(x / largest))
+
+
 def frobenius_norm(a: DenseMatrix) -> float:
-    return float(np.linalg.norm(a.array))
+    return _frobenius(a.array)
 
 
 def hadamard_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -203,9 +218,9 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    reciprocal_condition = 1.0 / (float(np.linalg.norm(system)) * float(np.linalg.norm(inv)))
+    reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
     threshold = DEFAULT_TOLERANCES.rank_eps
-    if not reciprocal_condition > threshold:  # also rejects nan from overflowed norms
+    if not reciprocal_condition > threshold:  # also rejects nan from non-finite inverse entries
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
             f"{reciprocal_condition:.3e} <= threshold {threshold:.3e}",
@@ -312,7 +327,7 @@ def lu_factorize(a: DenseMatrix) -> LUFactorization:
             col /= pivot
             work[k + 1:, k + 1:] -= col[:, None] * work[k, None, k + 1:]
     work.flags.writeable = False
-    return LUFactorization(perm, work, parity, float(np.linalg.norm(a.array)))
+    return LUFactorization(perm, work, parity, frobenius_norm(a))
 
 
 def det_lu(a: DenseMatrix) -> complex:

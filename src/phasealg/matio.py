@@ -59,15 +59,15 @@ def _dense_payload(a: DenseMatrix) -> dict:
         "kind": "dense",
         "rows": a.rows,
         "cols": a.cols,
-        "data": [[float(z.real), float(z.imag)] for z in a.array.ravel()],
+        "data": a.array.ravel().view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
 def _angle_payload(t: AngleMatrix) -> dict:
     return {
         "kind": "angle",
-        "theta": [float(x) for x in t.theta],
-        "phi": [float(x) for x in t.phi],
+        "theta": t.theta.tolist(),
+        "phi": t.phi.tolist(),
     }
 
 
@@ -79,8 +79,7 @@ def write_matrix(path, value: MatrixValue) -> None:
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _parse_dense(payload: dict, path: str) -> DenseMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle import AngleMatrix, gram
-from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_pinv, lu_factorize, rescale
+from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_pinv, frobenius_norm, lu_factorize, rescale
 
 __all__ = [
     "PenroseReport",
@@ -58,7 +58,7 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
     r2 = float(np.linalg.norm(xa @ xx - xx))
     r3 = float(np.linalg.norm(ax.conj().T - ax))
     r4 = float(np.linalg.norm(xa.conj().T - xa))
-    limit = DEFAULT_TOLERANCES.residual_eps * (1.0 + float(np.linalg.norm(aa)))
+    limit = DEFAULT_TOLERANCES.residual_eps * (1.0 + frobenius_norm(a))
     return PenroseReport(r1, r2, r3, r4, limit, max(r1, r2, r3, r4) <= limit)
 
 

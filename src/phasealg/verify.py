@@ -36,8 +36,6 @@ from .structured import (
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_suites"]
 
-SUITE_NAMES = ("lemma1", "lemma2", "lemma3", "thm1", "thm2")
-
 DUALITY_LIMIT = 1e-14
 MINOR_LIMIT = 1e-13
 GRAM_LIMIT = 1e-13          # times the integer Gram scale
@@ -52,27 +50,25 @@ GRAM_FACTOR_LIMIT = 1e-12   # times m*n
 SQUARE_DEGENERATION_LIMIT = 1e-10
 
 
-class _Worst:
-    """Accumulates the worst residual and worst residual/limit ratio."""
+class _Checks:
+    """Worst residual and worst residual/limit ratio of each named check, in
+    the order the checks are declared; a check no trial reached reports 0."""
 
-    def __init__(self):
-        self.residual = 0.0
-        self.ratio = 0.0
-        self.trials = 0
+    def __init__(self, *names: str):
+        self._worst = {name: [0, 0.0, 0.0] for name in names}  # trials, residual, ratio
 
-    def add(self, residual: float, limit: float):
-        self.trials += 1
-        self.residual = max(self.residual, float(residual))
-        self.ratio = max(self.ratio, float(residual) / limit)
+    def add(self, name: str, residual: float, limit: float):
+        worst = self._worst[name]
+        worst[0] += 1
+        worst[1] = max(worst[1], float(residual))
+        worst[2] = max(worst[2], float(residual) / limit)
 
-    def entry(self, name: str) -> dict:
-        return {
-            "name": name,
-            "trials": self.trials,
-            "max_residual": self.residual,
-            "max_ratio": self.ratio,
-            "passed": self.ratio <= 1.0,
-        }
+    def entries(self) -> list[dict]:
+        return [
+            {"name": name, "trials": trials, "max_residual": residual,
+             "max_ratio": ratio, "passed": ratio <= 1.0}
+            for name, (trials, residual, ratio) in self._worst.items()
+        ]
 
 
 def _max_abs(values: np.ndarray) -> float:
@@ -93,10 +89,7 @@ def _nonsingular_draw(gen, n: int) -> tuple[DenseMatrix, LUFactorization]:
 
 
 def _suite_lemma1(trials: int, seed: int) -> list[dict]:
-    duality = _Worst()
-    involution = _Worst()
-    unimodular = _Worst()
-    minors = _Worst()
+    checks = _Checks("hermitian_duality", "hermitian_involution", "unit_modulus", "rank_one_minors")
     for t in range(trials):
         gen = stream_generator(seed, t)
         m = int(gen.integers(1, 17))
@@ -104,23 +97,18 @@ def _suite_lemma1(trials: int, seed: int) -> list[dict]:
         mask = draw_angle(gen, m, n)
         dense = mask.materialize().array
         herm = mask.hermitian().materialize().array
-        duality.add(_max_abs(hadamard_inverse_transpose(mask).array - herm), DUALITY_LIMIT)
-        involution.add(_max_abs(mask.hermitian().hermitian().materialize().array - dense),
-                       DEFAULT_TOLERANCES.entry_eps)
-        unimodular.add(_max_abs(np.abs(dense) - 1.0), DEFAULT_TOLERANCES.entry_eps)
+        checks.add("hermitian_duality", _max_abs(hadamard_inverse_transpose(mask).array - herm), DUALITY_LIMIT)
+        checks.add("hermitian_involution", _max_abs(mask.hermitian().hermitian().materialize().array - dense),
+                   DEFAULT_TOLERANCES.entry_eps)
+        checks.add("unit_modulus", _max_abs(np.abs(dense) - 1.0), DEFAULT_TOLERANCES.entry_eps)
         if m >= 2 and n >= 2:
             outer = dense[:, None, :, None] * dense[None, :, None, :]
-            minors.add(_max_abs(outer - outer.transpose(0, 1, 3, 2)), MINOR_LIMIT)
-    return [
-        duality.entry("hermitian_duality"),
-        involution.entry("hermitian_involution"),
-        unimodular.entry("unit_modulus"),
-        minors.entry("rank_one_minors"),
-    ]
+            checks.add("rank_one_minors", _max_abs(outer - outer.transpose(0, 1, 3, 2)), MINOR_LIMIT)
+    return checks.entries()
 
 
 def _suite_lemma2(trials: int, seed: int) -> list[dict]:
-    det_identity = _Worst()
+    checks = _Checks("determinant_identity")
     for t in range(trials):
         gen = stream_generator(seed, t)
         n = int(gen.integers(1, 17))
@@ -129,15 +117,12 @@ def _suite_lemma2(trials: int, seed: int) -> list[dict]:
         base_det = factorization.det()
         masked_det = det_lu(hadamard_product(matrix, mask.materialize()))
         residual = abs(det_structured(matrix, mask) - masked_det)
-        det_identity.add(residual, DET_LIMIT * (1.0 + abs(base_det)))
-    return [det_identity.entry("determinant_identity")]
+        checks.add("determinant_identity", residual, DET_LIMIT * (1.0 + abs(base_det)))
+    return checks.entries()
 
 
 def _suite_lemma3(trials: int, seed: int) -> list[dict]:
-    left = _Worst()
-    right = _Worst()
-    diagonal = _Worst()
-    triple = _Worst()
+    checks = _Checks("gram_left", "gram_right", "gram_diagonal_scale", "triple_product", "gram_2x2_structure")
     for t in range(trials):
         gen = stream_generator(seed, t)
         m = int(gen.integers(1, 65))
@@ -146,17 +131,16 @@ def _suite_lemma3(trials: int, seed: int) -> list[dict]:
         dense = mask.materialize().array
         herm = mask.hermitian().materialize().array
         left_scale, left_gram = gram(mask, "left")
-        left.add(_max_abs(herm @ dense - left_scale * left_gram.materialize().array),
-                 left_scale * GRAM_LIMIT)
+        checks.add("gram_left", _max_abs(herm @ dense - left_scale * left_gram.materialize().array),
+                   left_scale * GRAM_LIMIT)
         right_scale, right_gram = gram(mask, "right")
-        right.add(_max_abs(dense @ herm - right_scale * right_gram.materialize().array),
-                  right_scale * GRAM_LIMIT)
-        diagonal.add(_max_abs(np.diag(herm @ dense) - m), m * GRAM_DIAG_LIMIT)
-        triple.add(triple_product_check(mask), m * n * TRIPLE_LIMIT)
+        checks.add("gram_right", _max_abs(dense @ herm - right_scale * right_gram.materialize().array),
+                   right_scale * GRAM_LIMIT)
+        checks.add("gram_diagonal_scale", _max_abs(np.diag(herm @ dense) - m), m * GRAM_DIAG_LIMIT)
+        checks.add("triple_product", triple_product_check(mask), m * n * TRIPLE_LIMIT)
 
     # fixed 2x2 instance: the dense Gram must show the scale-2 difference
     # structure entry for entry
-    structure = _Worst()
     gen = stream_generator(seed, trials)
     mask = draw_angle(gen, 2, 2)
     dense = mask.materialize().array
@@ -164,22 +148,14 @@ def _suite_lemma3(trials: int, seed: int) -> list[dict]:
     product = herm @ dense
     off = np.exp(1j * (mask.phi[1] - mask.phi[0]))
     expected = np.array([[2.0, 2.0 * off], [2.0 * np.conj(off), 2.0]])
-    structure.add(_max_abs(product - expected), STRUCTURE_2X2_LIMIT)
-    structure.add(abs(abs(product[0, 1]) - 2.0), STRUCTURE_2X2_LIMIT)
-    return [
-        left.entry("gram_left"),
-        right.entry("gram_right"),
-        diagonal.entry("gram_diagonal_scale"),
-        triple.entry("triple_product"),
-        structure.entry("gram_2x2_structure"),
-    ]
+    checks.add("gram_2x2_structure", _max_abs(product - expected), STRUCTURE_2X2_LIMIT)
+    checks.add("gram_2x2_structure", abs(abs(product[0, 1]) - 2.0), STRUCTURE_2X2_LIMIT)
+    return checks.entries()
 
 
 def _suite_thm1(trials: int, seed: int) -> list[dict]:
-    left = _Worst()
-    right = _Worst()
-    oracle = _Worst()
-    transposed_inverse = _Worst()
+    checks = _Checks("inverse_left_residual", "inverse_right_residual", "inverse_matches_lu_oracle",
+                     "transposed_mask_inverse", "adjugate_oracle_equivalence")
     for t in range(trials):
         gen = stream_generator(seed, t)
         n = int(gen.integers(1, 33))
@@ -190,35 +166,31 @@ def _suite_thm1(trials: int, seed: int) -> list[dict]:
         solution = inverse_structured(matrix, mask)
         eye = identity(n).array
         limit = INVERSE_LIMIT * n
-        left.add(float(np.linalg.norm(solution.array @ masked.array - eye)), limit)
-        right.add(float(np.linalg.norm(masked.array @ solution.array - eye)), limit)
-        oracle.add(float(np.linalg.norm(solution.array - inverse_lu(masked).array)), limit)
+        checks.add("inverse_left_residual", float(np.linalg.norm(solution.array @ masked.array - eye)), limit)
+        checks.add("inverse_right_residual", float(np.linalg.norm(masked.array @ solution.array - eye)), limit)
+        checks.add("inverse_matches_lu_oracle",
+                   float(np.linalg.norm(solution.array - inverse_lu(masked).array)), limit)
         transposed_mask = hadamard_product(matrix, transpose(dense_mask))
-        transposed_inverse.add(
+        checks.add(
+            "transposed_mask_inverse",
             float(np.linalg.norm(
                 inverse_structured_transposed(matrix, mask).array
                 - inverse_lu(transposed_mask).array)),
             limit,
         )
 
-    adjugate_oracle = _Worst()
     for t in range(trials):
         gen = stream_generator(seed, trials + t)  # separate streams from the main loop
         n = int(gen.integers(1, 5))
         matrix = draw_well_conditioned(gen, n, n)
         mask = draw_angle(gen, n, n)
-        adjugate_oracle.add(
+        checks.add(
+            "adjugate_oracle_equivalence",
             _max_abs(inverse_adjugate_structured(matrix, mask).array
                      - inverse_structured(matrix, mask).array),
             ADJUGATE_LIMIT,
         )
-    return [
-        left.entry("inverse_left_residual"),
-        right.entry("inverse_right_residual"),
-        oracle.entry("inverse_matches_lu_oracle"),
-        transposed_inverse.entry("transposed_mask_inverse"),
-        adjugate_oracle.entry("adjugate_oracle_equivalence"),
-    ]
+    return checks.entries()
 
 
 def _thm2_shape(gen, t: int) -> tuple[int, int]:
@@ -234,11 +206,8 @@ def _thm2_shape(gen, t: int) -> tuple[int, int]:
 
 
 def _suite_thm2(trials: int, seed: int) -> list[dict]:
-    penrose = _Worst()
-    oracle = _Worst()
-    factorization = _Worst()
-    degeneration = _Worst()
-    duality = _Worst()
+    checks = _Checks("penrose_conditions", "pinv_matches_dense_oracle", "gram_hadamard_factorization",
+                     "square_degeneration", "hermitian_duality_pinv")
     for t in range(trials):
         gen = stream_generator(seed, t)
         m, n = _thm2_shape(gen, t)
@@ -249,34 +218,32 @@ def _suite_thm2(trials: int, seed: int) -> list[dict]:
         solution_norm = frobenius_norm(solution)
 
         report = penrose_check(masked, solution)
-        penrose.add(report.worst(), report.tolerance)
-        oracle.add(
+        checks.add("penrose_conditions", report.worst(), report.tolerance)
+        checks.add(
+            "pinv_matches_dense_oracle",
             float(np.linalg.norm(solution.array - pinv_full_rank(masked).array)),
             PINV_LIMIT * (1.0 + solution_norm),
         )
         base_gram, scale, structured_gram = gram_hadamard_factorization(matrix, mask)
-        factorization.add(
+        checks.add(
+            "gram_hadamard_factorization",
             _max_abs(masked.array.conj().T @ masked.array
                      - base_gram.array * structured_gram.materialize().array),
             GRAM_FACTOR_LIMIT * m * n,
         )
         if m == n:
-            degeneration.add(
+            checks.add(
+                "square_degeneration",
                 _max_abs(solution.array - inverse_structured(matrix, mask).array),
                 SQUARE_DEGENERATION_LIMIT,
             )
         flipped = pinv_structured(conjugate_transpose(matrix), mask.hermitian())
-        duality.add(
+        checks.add(
+            "hermitian_duality_pinv",
             float(np.linalg.norm(flipped.array - solution.array.conj().T)),
             PINV_LIMIT * (1.0 + solution_norm),
         )
-    return [
-        penrose.entry("penrose_conditions"),
-        oracle.entry("pinv_matches_dense_oracle"),
-        factorization.entry("gram_hadamard_factorization"),
-        degeneration.entry("square_degeneration"),
-        duality.entry("hermitian_duality_pinv"),
-    ]
+    return checks.entries()
 
 
 _SUITE_RUNNERS = {
@@ -286,6 +253,7 @@ _SUITE_RUNNERS = {
     "thm1": _suite_thm1,
     "thm2": _suite_thm2,
 }
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(name: str, trials: int, seed: int) -> dict:

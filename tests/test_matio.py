@@ -23,6 +23,22 @@ def test_dense_round_trip_is_bit_exact(tmp_path):
     assert back.array.tobytes() == np.ascontiguousarray(values, dtype=np.complex128).tobytes()
 
 
+def test_written_file_text_is_pinned(tmp_path):
+    dense = DenseMatrix(np.array([
+        [complex(-0.0, 5e-324), complex(1 / 3, -1e300)],
+        [complex(1e16, 0.0), complex(0.0, -0.0)],
+    ]))
+    write_matrix(tmp_path / "m.json", dense)
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == (
+        '{"cols": 2, "data": [[-0.0, 5e-324], [0.3333333333333333, -1e+300], '
+        '[1e+16, 0.0], [0.0, -0.0]], "kind": "dense", "rows": 2}\n'
+    )
+    write_matrix(tmp_path / "t.json", AngleMatrix(theta=[-0.0, 1 / 3], phi=[1e16, 5e-324, -7.25]))
+    assert (tmp_path / "t.json").read_text(encoding="utf-8") == (
+        '{"kind": "angle", "phi": [1e+16, 5e-324, -7.25], "theta": [-0.0, 0.3333333333333333]}\n'
+    )
+
+
 def test_identity_round_trip(tmp_path):
     path = tmp_path / "i.json"
     write_matrix(path, identity(2))

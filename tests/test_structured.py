@@ -182,6 +182,38 @@ def test_production_and_oracle_agree_on_singularity():
         inverse_lu(deficient)
 
 
+def _assert_scaled_inverse(x: np.ndarray, expected: np.ndarray):
+    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e300, 1e-300])
+def test_scaled_identity_is_not_singular_on_either_route(scale):
+    # ||A||_F or ||A^-1||_F leaves float64 when its squares are summed naively
+    t = draw_angle(stream_generator(7, 1), 3, 3)
+    a = DenseMatrix(scale * np.eye(3))
+    _assert_scaled_inverse(inverse_structured(a, t).array, np.eye(3) / scale * t.hermitian().materialize().array)
+    _assert_scaled_inverse(inverse_lu(a).array, np.eye(3) / scale)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e-155])
+def test_scaled_identity_pseudoinverse_and_update(scale):
+    t = draw_angle(stream_generator(7, 1), 3, 3)
+    a = DenseMatrix(scale * np.eye(3))
+    expected = np.eye(3) / scale * t.hermitian().materialize().array
+    _assert_scaled_inverse(pinv_structured(a, t).array, expected)
+    _assert_scaled_inverse(apply_update(precompute(a), t).array, expected)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_graded_condition_is_rejected_at_every_scale(scale):
+    t = draw_angle(stream_generator(0, 1), 8, 8)
+    near_singular = DenseMatrix(scale * _graded(0, 8, 1e14).array)
+    with pytest.raises(SingularMatrixError):
+        inverse_structured(near_singular, t)
+    with pytest.raises(SingularMatrixError):
+        inverse_lu(near_singular)
+
+
 def test_det_outside_float_range_raises():
     a = draw_dense(stream_generator(5, 0), 272, 272)
     t = draw_angle(stream_generator(5, 1), 272, 272)

@@ -1,0 +1,61 @@
+"""Verify report layout and the script that compares reports across trees."""
+
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from phasealg import run_suite
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SAME_REPORTS = os.path.join(ROOT, "tools", "same_verify_reports.py")
+
+LAYOUT = {  # suite -> (check name, trials) at --trials 1 --seed 0, in report order
+    "lemma1": [("hermitian_duality", 1), ("hermitian_involution", 1), ("unit_modulus", 1),
+               ("rank_one_minors", 0)],
+    "lemma2": [("determinant_identity", 1)],
+    "lemma3": [("gram_left", 1), ("gram_right", 1), ("gram_diagonal_scale", 1), ("triple_product", 1),
+               ("gram_2x2_structure", 2)],
+    "thm1": [("inverse_left_residual", 1), ("inverse_right_residual", 1), ("inverse_matches_lu_oracle", 1),
+             ("transposed_mask_inverse", 1), ("adjugate_oracle_equivalence", 1)],
+    "thm2": [("penrose_conditions", 1), ("pinv_matches_dense_oracle", 1), ("gram_hadamard_factorization", 1),
+             ("square_degeneration", 0), ("hermitian_duality_pinv", 1)],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LAYOUT))
+def test_report_lists_each_check_once_in_a_fixed_order(suite):
+    checks = run_suite(suite, 1, 0)["checks"]
+    assert [(c["name"], c["trials"]) for c in checks] == LAYOUT[suite]
+    for check in checks:
+        assert set(check) == {"name", "trials", "max_residual", "max_ratio", "passed"}
+        if check["trials"] == 0:  # declared but reached by no trial
+            assert (check["max_residual"], check["max_ratio"], check["passed"]) == (0.0, 0.0, True)
+
+
+def _same_reports(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, SAME_REPORTS, *args],
+                          capture_output=True, text=True, check=False)
+
+
+def test_same_reports_rejects_bad_arguments(tmp_path):
+    assert _same_reports().returncode == 2
+    assert _same_reports(os.path.join(ROOT, "src")).returncode == 2
+    run = _same_reports(str(tmp_path), os.path.join(ROOT, "src"))
+    assert run.returncode == 2
+    assert "holds no phasealg package" in run.stderr
+
+
+def test_same_reports_names_the_first_differing_suite_and_seed(tmp_path):
+    changed = tmp_path / "phasealg"
+    shutil.copytree(os.path.join(ROOT, "src", "phasealg"), changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    verify_py = changed / "verify.py"
+    source = verify_py.read_text(encoding="utf-8")
+    assert "DUALITY_LIMIT = 1e-14\n" in source
+    verify_py.write_text(source.replace("DUALITY_LIMIT = 1e-14\n", "DUALITY_LIMIT = 2e-14\n"), encoding="utf-8")
+    run = _same_reports(os.path.join(ROOT, "src"), str(tmp_path))
+    assert run.returncode == 1
+    assert "suite lemma1, seed 0" in run.stdout
