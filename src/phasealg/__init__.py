@@ -12,7 +12,6 @@ from .angle import (
     AngleMatrix,
     gram,
     hadamard_inverse_transpose,
-    triple_product_check,
 )
 from .core import (
     DEFAULT_TOLERANCES,

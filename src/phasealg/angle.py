@@ -18,7 +18,6 @@ __all__ = [
     "AngleMatrix",
     "hadamard_inverse_transpose",
     "gram",
-    "triple_product_check",
 ]
 
 
@@ -110,12 +109,3 @@ def gram(t: AngleMatrix, side: str) -> tuple[int, AngleMatrix]:
         return t.cols, AngleMatrix(theta=t.theta, phi=-t.theta)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-
-def triple_product_check(t: AngleMatrix) -> float:
-    """Largest entry error of hermitian(t) @ t @ hermitian(t) against
-    rows*cols*hermitian(t), computed densely; the caller sets the limit."""
-    m, n = t.shape
-    dense = t.materialize().array
-    herm = t.hermitian().materialize().array
-    product = herm @ dense @ herm
-    return float(np.abs(product - m * n * herm).max())

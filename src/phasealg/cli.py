@@ -22,7 +22,6 @@ from .core import (
     SingularMatrixError,
     det_lu,
     hadamard_product,
-    identity,
     inverse_lu,
 )
 from .engine import run_benchmark
@@ -94,7 +93,7 @@ def _cmd_inv(args, argv):
         oracle_path = f"{args.out}.oracle"
         write_matrix(oracle_path, reference)
         print(f"wrote {oracle_path}")
-        eye = identity(matrix.rows).array
+        eye = np.eye(matrix.rows)
         print(f"left_identity_residual: {float(np.linalg.norm(solution.array @ masked.array - eye))!r}")
         print(f"right_identity_residual: {float(np.linalg.norm(masked.array @ solution.array - eye))!r}")
         print(f"oracle_diff_frobenius: {float(np.linalg.norm(solution.array - reference.array))!r}")

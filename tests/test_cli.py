@@ -150,6 +150,16 @@ def test_malformed_file_exits_2(tmp_path):
     assert run_cli("det", "--matrix", str(bad), "--angle", t_path) == 2
 
 
+def test_undecodable_file_exits_2_naming_it(tmp_path, capsys):
+    a_path, _ = write_identity_pair(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run_cli("det", "--matrix", a_path, "--angle", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert a_path not in err
+
+
 def test_integer_beyond_float64_exits_2(tmp_path, capsys):
     a_path, t_path = write_identity_pair(tmp_path, n=1)
     huge = "1" + "0" * 400

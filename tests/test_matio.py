@@ -81,6 +81,15 @@ def test_invalid_json_reports_position(tmp_path):
         read_matrix(path)
 
 
+def test_undecodable_file_names_its_path(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"kind": "dense"}')
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix(path)
+    assert str(path) in str(info.value)
+    assert "0xff at offset 0" in str(info.value)
+
+
 def test_dense_dimension_inconsistency(tmp_path):
     path = tmp_path / "bad.json"
     payload = {"kind": "dense", "rows": 2, "cols": 2, "data": [[1, 0], [2, 0], [3, 0]]}

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from phasealg import run_suite
+from phasealg import LUFactorization, SingularMatrixError, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAME_REPORTS = os.path.join(ROOT, "tools", "same_verify_reports.py")
@@ -35,6 +35,14 @@ def test_report_lists_each_check_once_in_a_fixed_order(suite):
             assert (check["max_residual"], check["max_ratio"], check["passed"]) == (0.0, 0.0, True)
 
 
+def test_lemma2_draws_do_not_consult_the_lu_oracle(monkeypatch):
+    def reject(self, pivot_floor=None):
+        raise SingularMatrixError("pivot test called", pivot=0.0)
+
+    monkeypatch.setattr(LUFactorization, "_check_pivots", reject)
+    assert run_suite("lemma2", 10, 0)["passed"]
+
+
 def _same_reports(*args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, SAME_REPORTS, *args],
                           capture_output=True, text=True, check=False)
@@ -59,3 +67,17 @@ def test_same_reports_names_the_first_differing_suite_and_seed(tmp_path):
     run = _same_reports(os.path.join(ROOT, "src"), str(tmp_path))
     assert run.returncode == 1
     assert "suite lemma1, seed 0" in run.stdout
+
+
+def test_same_reports_fails_on_a_numpy_warning(tmp_path):
+    changed = tmp_path / "phasealg"
+    shutil.copytree(os.path.join(ROOT, "src", "phasealg"), changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    verify_py = changed / "verify.py"
+    source = verify_py.read_text(encoding="utf-8")
+    header = "def _suite_lemma1(trials: int, seed: int) -> list[dict]:\n"
+    assert header in source
+    verify_py.write_text(source.replace(header, header + "    np.divide(1.0, np.zeros(1))\n"), encoding="utf-8")
+    run = _same_reports(os.path.join(ROOT, "src"), str(tmp_path))
+    assert run.returncode == 2
+    assert "RuntimeWarning" in run.stderr

@@ -8,11 +8,12 @@ script runs `python -m phasealg verify --suite SUITE --trials 20 --seed SEED`
 once with PYTHONPATH set to each directory, drops the `wall_time_s` line of
 each report, and compares the rest byte for byte together with the exit code.
 Suites run one at a time rather than as `all`, so a suite added under a new
-name does not count as a difference.
+name does not count as a difference. Each run turns RuntimeWarning and
+DeprecationWarning into errors, the filters pyproject.toml sets for pytest.
 
 Exit 0 when every pair matches and 1 naming the first suite and seed that
 differ. Exit 2 when a directory holds no `phasealg` package or a run writes
-no report.
+no report (a warning raised as an error is such a run).
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import sys
 SUITES = ("lemma1", "lemma2", "lemma3", "thm1", "thm2")
 SEEDS = (0, 7, 1729, 123456789)
 TRIALS = 20
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
 
 
 def verify_report(src: str, suite: str, seed: int) -> tuple[int, str]:
     """(exit code, report without its wall_time_s line) of one verify run."""
-    argv = [sys.executable, "-m", "phasealg", "verify",
+    argv = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "phasealg", "verify",
             "--suite", suite, "--trials", str(TRIALS), "--seed", str(seed)]
     run = subprocess.run(argv, cwd=src, env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=False)
