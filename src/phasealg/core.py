@@ -81,14 +81,33 @@ class DeterminantRangeError(ArithmeticError):
         self.log_abs = float(log_abs)
 
 
+def _require_finite(arr: np.ndarray):
+    # A finite sum means finite entries (inf and nan propagate), and costs
+    # half the entrywise scan; only a non-finite sum, which overflow alone
+    # can cause, needs the scan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not np.isfinite(total) and not np.isfinite(arr).all():
+        i, k = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite entry at ({i}, {k})")
+
+
+def _largest_part(arr: np.ndarray) -> float:
+    """max over entries of max(|re|, |im|)."""
+    return float(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+
+
 class DenseMatrix:
     """Immutable row-major complex matrix with explicit dimensions.
 
     Construction copies the input, requires a 2-D shape with positive
-    dimensions, and rejects non-finite entries.
+    dimensions, and rejects non-finite entries. The largest real or imaginary
+    magnitude of the entries is computed on first use and cached, since the
+    entries never change; rescale reads it to prove its output finite without
+    scanning it.
     """
 
-    __slots__ = ("_array",)
+    __slots__ = ("_array", "_largest")
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.complex128, order="C")
@@ -96,27 +115,30 @@ class DenseMatrix:
             raise ValueError(f"expected a 2-D matrix, got an array of ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
-        self._adopt(arr)
+        _require_finite(arr)
+        self._freeze(arr)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> DenseMatrix:
+    def _wrap(cls, arr: np.ndarray, proven_finite: bool = False) -> DenseMatrix:
         """Trusted constructor for a fresh 2-D complex128 kernel output that no
-        other reference can write to: no copy, but still the finiteness check."""
+        other reference can write to: no copy, and the finiteness scan unless
+        the kernel has proved every entry finite."""
+        if not proven_finite:
+            _require_finite(arr)
         out = cls.__new__(cls)
-        out._adopt(arr)
+        out._freeze(arr)
         return out
 
-    def _adopt(self, arr: np.ndarray):
-        # A finite sum means finite entries (inf and nan propagate), and costs
-        # half the entrywise scan; only a non-finite sum, which overflow alone
-        # can cause, needs the scan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum()
-        if not np.isfinite(total) and not np.isfinite(arr).all():
-            i, k = np.argwhere(~np.isfinite(arr))[0]
-            raise ValueError(f"non-finite entry at ({i}, {k})")
+    def _freeze(self, arr: np.ndarray):
         arr.flags.writeable = False
         self._array = arr
+        self._largest = None
+
+    def _largest_component(self) -> float:
+        """_largest_part of the entries, computed once per matrix."""
+        if self._largest is None:
+            self._largest = _largest_part(self._array)
+        return self._largest
 
     @property
     def array(self) -> np.ndarray:
@@ -240,17 +262,38 @@ def slogdet(a: np.ndarray) -> tuple[complex, float]:
     return complex(sign), float(log_abs)
 
 
-def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> DenseMatrix:
+# Largest component magnitude B of a matrix x for which rescale cannot
+# overflow: with unit phase factors, whose real and imaginary parts are at
+# most 1, each of its two complex multiplies at most doubles the largest
+# component, so every output component is at most 4 * B * (1 + u)^2 < max.
+_RESCALE_SAFE = np.finfo(np.float64).max / 8
+
+
+def rescale(x: np.ndarray | DenseMatrix, row_phases: np.ndarray, col_phases: np.ndarray) -> DenseMatrix:
     """The one mask kernel: diag(e^(j*row_phases)) @ x @ diag(e^(j*col_phases)),
     in O(mn) with a single m-by-n allocation.
 
     Masking by an angle matrix is exactly this diagonal scaling, so every
-    structured solve is a base solve followed by one call here.
+    structured solve is a base solve followed by one call here. The output is
+    scanned for non-finite entries unless x is a DenseMatrix whose cached
+    largest component is at most _RESCALE_SAFE and both phase factors are
+    finite: then no entry can overflow, and the O(mn) scan is skipped. A
+    stored base (pseudo)inverse passed as a DenseMatrix pays for that bound
+    once; a bare array is scanned on every call.
     """
+    array = x.array if isinstance(x, DenseMatrix) else x
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap reports overflow
-        out = x * np.exp(1j * col_phases)[None, :]
-        out *= np.exp(1j * row_phases)[:, None]
-    return DenseMatrix._wrap(out)
+        col = np.exp(1j * col_phases)
+        row = np.exp(1j * row_phases)
+        out = array * col[None, :]
+        out *= row[:, None]
+    proven_finite = (
+        isinstance(x, DenseMatrix)
+        and x._largest_component() <= _RESCALE_SAFE
+        and np.isfinite(col).all()
+        and np.isfinite(row).all()
+    )
+    return DenseMatrix._wrap(out, proven_finite)
 
 
 class LUFactorization:

@@ -42,7 +42,9 @@ class PrecomputedBase:
 
     base_pinv is the inverse for square sources and the pseudoinverse
     otherwise; it is checked against the four pseudoinverse conditions at
-    construction and never recomputed.
+    construction and never recomputed. Its largest component, cached on the
+    DenseMatrix and warmed by precompute, proves every update finite without
+    a scan of the update (see core.rescale).
     """
 
     shape: tuple[int, int]
@@ -57,6 +59,7 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
         raise RuntimeError(
             f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
         )
+    base_pinv._largest_component()  # one O(mn) pass here instead of a finiteness scan per update
     return PrecomputedBase((a.rows, a.cols), base_pinv)
 
 
@@ -65,11 +68,12 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
     conjugate-transposed angle matrix.
 
     Costs O(m+n) trigonometric evaluations (one per phase) plus O(mn) complex
-    multiplications; performs no factorization.
+    multiplications; performs no factorization, and no finiteness scan of the
+    result while the base's largest component is within rescale's bound.
     """
     if t.shape != base.shape:
         raise ValueError(f"apply_update shape mismatch: base {base.shape} vs angle matrix {t.shape}")
-    return rescale(base.base_pinv.array, -t.phi, -t.theta)
+    return rescale(base.base_pinv, -t.phi, -t.theta)
 
 
 def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:

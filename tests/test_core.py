@@ -26,7 +26,8 @@ from phasealg import (
     lu_factorize,
     transpose,
 )
-from phasealg.core import rescale
+from phasealg import core
+from phasealg.core import _RESCALE_SAFE, rescale
 from phasealg.generate import draw_dense, draw_well_conditioned, stream_generator
 
 
@@ -50,6 +51,40 @@ def test_rescale_rejects_overflow_from_rotation():
         rescale(x, np.array([np.pi / 4]), np.array([0.0]))
 
 
+def test_rescale_of_dense_matrix_above_the_bound_still_scans():
+    x = DenseMatrix([[1.5e308 + 1.5e308j]])
+    assert x._largest_component() > _RESCALE_SAFE
+    with pytest.raises(ValueError, match="non-finite"):
+        rescale(x, np.array([np.pi / 4]), np.array([0.0]))
+
+
+def test_rescale_of_dense_matrix_scans_non_finite_phase_factors():
+    x = DenseMatrix([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        rescale(x, np.array([0.0]), np.array([np.inf, 0.0]))
+
+
+def test_rescale_at_the_bound_stays_finite_under_the_worst_rotation():
+    # both parts of each entry sit on the bound; a pi/4 factor turns an entry
+    # onto one axis, sqrt(2) times the bound
+    b = _RESCALE_SAFE
+    x = DenseMatrix([[b + b * 1j, -b + b * 1j], [b - b * 1j, -b - b * 1j]])
+    phases = np.array([np.pi / 4, -np.pi / 4])
+    out = rescale(x, phases, phases)
+    assert np.isfinite(out.array).all()
+    assert np.array_equal(out.array, rescale(x.array, phases, phases).array)
+
+
+def test_dense_matrix_largest_component_is_computed_once(monkeypatch):
+    calls = []
+    largest_part = core._largest_part
+    monkeypatch.setattr(core, "_largest_part", lambda arr: calls.append(1) or largest_part(arr))
+    x = DenseMatrix([[1.0 - 3.0j, -2.0]])
+    assert x._largest_component() == 3.0
+    assert x._largest_component() == 3.0
+    assert len(calls) == 1
+
+
 def test_rescale_is_diagonal_scaling():
     gen = stream_generator(7, 0)
     x = draw_dense(gen, 3, 4).array
@@ -59,6 +94,7 @@ def test_rescale_is_diagonal_scaling():
     out = rescale(x, alpha, beta)
     assert isinstance(out, DenseMatrix) and not out.array.flags.writeable
     assert np.abs(out.array - expected).max() <= 1e-15 * np.abs(x).max()
+    assert np.array_equal(rescale(DenseMatrix(x), alpha, beta).array, out.array)
 
 
 def test_dense_matrix_rejects_bad_shapes():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasealg import (
     AngleMatrix,
@@ -17,7 +19,9 @@ from phasealg import (
     precompute,
     run_benchmark,
 )
-from phasealg.engine import _update_angles
+from phasealg import core
+from phasealg.core import _RESCALE_SAFE, rescale
+from phasealg.engine import PrecomputedBase, _update_angles
 from phasealg.generate import draw_angle, draw_well_conditioned, stream_generator
 
 
@@ -79,6 +83,49 @@ def test_apply_update_output_is_read_only_and_base_unchanged():
     assert not np.shares_memory(x.array, base.base_pinv.array)
     assert np.array_equal(base.base_pinv.array, stored)
     assert not base.base_pinv.array.flags.writeable
+
+
+extreme_phases = st.lists(
+    st.floats(min_value=-1e308, max_value=1e308, allow_nan=False), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([1e-307, 1e-154, 1e-3, 0.5, 1.0]),
+       theta=extreme_phases, phi=extreme_phases)
+def test_apply_update_without_the_scan_is_finite_and_unchanged(seed, share, theta, phi):
+    # share is the base's largest component as a share of the bound; at 1.0
+    # that component lies exactly on it
+    t = AngleMatrix(theta=theta, phi=phi)
+    m, n = t.shape
+    x = draw_well_conditioned(stream_generator(seed, 0), n, m).array
+    largest = max(np.abs(x.real).max(), np.abs(x.imag).max())
+    base = PrecomputedBase((m, n), DenseMatrix(x / largest * _RESCALE_SAFE * share))
+    assert base.base_pinv._largest_component() <= _RESCALE_SAFE
+    out = apply_update(base, t)
+    assert np.isfinite(out.array).all()
+    assert np.array_equal(out.array, rescale(base.base_pinv.array, -t.phi, -t.theta).array)
+
+
+def test_apply_update_still_rejects_an_overflowing_base():
+    # a directly built base above the bound keeps the scan: a pi/4 rotation
+    # moves the entry onto one axis, which overflows
+    base = PrecomputedBase((1, 1), DenseMatrix([[1.5e308 + 1.5e308j]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_update(base, AngleMatrix(theta=[np.pi / 4], phi=[0.0]))
+
+
+def test_apply_update_bounds_the_base_once(monkeypatch):
+    calls = []
+    largest_part = core._largest_part
+    monkeypatch.setattr(core, "_largest_part", lambda arr: calls.append(arr.shape) or largest_part(arr))
+    gen = stream_generator(167, 0)
+    base = precompute(draw_well_conditioned(gen, 6, 4))
+    assert calls == [(4, 6)]  # precompute takes the bound
+    for _ in range(5):
+        apply_update(base, draw_angle(gen, 6, 4))
+    assert calls == [(4, 6)]
 
 
 def test_apply_update_dimension_mismatch():
