@@ -93,8 +93,9 @@ def _require_finite(arr: np.ndarray):
 
 
 def _largest_part(arr: np.ndarray) -> float:
-    """max over entries of max(|re|, |im|)."""
-    return float(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+    """max over entries of max(|re|, |im|), without an m-by-n temporary."""
+    parts = arr.ravel(order="K").view(np.float64)  # a view unless arr is strided
+    return float(max(parts.max(), -parts.min()))
 
 
 class DenseMatrix:
@@ -281,19 +282,15 @@ def rescale(x: np.ndarray | DenseMatrix, row_phases: np.ndarray, col_phases: np.
     stored base (pseudo)inverse passed as a DenseMatrix pays for that bound
     once; a bare array is scanned on every call.
     """
-    array = x.array if isinstance(x, DenseMatrix) else x
+    bounded = isinstance(x, DenseMatrix) and x._largest_component() <= _RESCALE_SAFE
+    if isinstance(x, DenseMatrix):
+        x = x.array
     with np.errstate(over="ignore", invalid="ignore"):  # the wrap reports overflow
         col = np.exp(1j * col_phases)
         row = np.exp(1j * row_phases)
-        out = array * col[None, :]
+        out = x * col[None, :]
         out *= row[:, None]
-    proven_finite = (
-        isinstance(x, DenseMatrix)
-        and x._largest_component() <= _RESCALE_SAFE
-        and np.isfinite(col).all()
-        and np.isfinite(row).all()
-    )
-    return DenseMatrix._wrap(out, proven_finite)
+    return DenseMatrix._wrap(out, bounded and np.isfinite(col).all() and np.isfinite(row).all())
 
 
 class LUFactorization:

@@ -83,6 +83,8 @@ def test_dense_matrix_largest_component_is_computed_once(monkeypatch):
     assert x._largest_component() == 3.0
     assert x._largest_component() == 3.0
     assert len(calls) == 1
+    strided = np.asfortranarray([[1.0 - 3.0j, 0.5], [-2.0, 4.0j]])[:, ::-1]
+    assert largest_part(strided) == 4.0 and largest_part(strided.T) == 4.0
 
 
 def test_rescale_is_diagonal_scaling():

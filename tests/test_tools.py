@@ -73,3 +73,23 @@ def test_bench_compare_rejects_bad_arguments(bench_compare, tmp_path):
             bench_compare.main(argv)
         assert exit_info.value.code == 2
     assert not os.path.exists(out)
+
+
+def test_bench_compare_parses_the_baseline_lines(bench_compare, monkeypatch):
+    lines = [  # the layout perfbench/baseline.py prints
+        f"{'update-stream':14s} numpy.linalg.{'inv':8s} {256:4d}x{256:<4d} median {6.752:8.3f} ms  "
+        f"quartiles {6.501:.3f}-{7.340:.3f} ms  (50 calls)",
+        f"{'cold-solve':14s} numpy.linalg.{'pinv':8s} {192:4d}x{128:<4d} median {9.512:8.3f} ms  "
+        f"quartiles {9.382:.3f}-{9.568:.3f} ms  (50 calls)",
+    ]
+    monkeypatch.setattr(bench_compare, "run_python", lambda checkout, argv: "\n".join(lines) + "\n")
+    figures = bench_compare.run_baseline("checkout", 11, 50)
+    assert figures == [
+        {"workload": "update-stream", "function": "numpy.linalg.inv", "shape": [256, 256],
+         "median_ms": 6.752, "q1_ms": 6.501, "q3_ms": 7.34, "repeats": 50},
+        {"workload": "cold-solve", "function": "numpy.linalg.pinv", "shape": [192, 128],
+         "median_ms": 9.512, "q1_ms": 9.382, "q3_ms": 9.568, "repeats": 50},
+    ]
+    monkeypatch.setattr(bench_compare, "run_python", lambda checkout, argv: "something else\n")
+    with pytest.raises(bench_compare.RunError, match="unexpected line"):
+        bench_compare.run_baseline("checkout", 11, 50)

@@ -55,7 +55,7 @@ def extract(rev: str, dest: str) -> str:
     return commit
 
 
-def python(checkout: str, argv: list[str]) -> str:
+def run_python(checkout: str, argv: list[str]) -> str:
     """stdout of `python argv` run from the root of `checkout`."""
     run = subprocess.run([sys.executable, *argv], cwd=checkout, capture_output=True, text=True, check=False)
     if run.returncode != 0 or not run.stdout.strip():
@@ -66,14 +66,14 @@ def python(checkout: str, argv: list[str]) -> str:
 
 def run_workload(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result line of one end-to-end perfbench run."""
-    out = python(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    out = run_python(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                             "--seconds", str(seconds), "--trace", "0"])
     return json.loads(out.strip().splitlines()[-1])
 
 
 def run_baseline(checkout: str, seed: int, repeats: int) -> list[dict]:
     """perfbench/baseline.py's figures, one entry per shape it times."""
-    out = python(checkout, ["perfbench/baseline.py", "--seed", str(seed), "--repeats", str(repeats)])
+    out = run_python(checkout, ["perfbench/baseline.py", "--seed", str(seed), "--repeats", str(repeats)])
     figures = []
     for line in out.splitlines():
         match = BASELINE_LINE.match(line)
@@ -92,18 +92,17 @@ def run_baseline(checkout: str, seed: int, repeats: int) -> list[dict]:
 
 
 def versions() -> dict:
-    """Python, numpy and BLAS versions of the interpreter that runs the benchmark."""
-    probe = (
-        "import json, platform, numpy\n"
-        "try:\n"
-        "    blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']\n"
-        "    blas = f\"{blas.get('name')} {blas.get('version')}\"\n"
-        "except Exception:\n"
-        "    blas = 'unknown'\n"
-        "print(json.dumps({'python': platform.python_version(), 'numpy': numpy.__version__, 'blas': blas}))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    """Python, numpy and BLAS versions of this interpreter, which runs the benchmark too."""
+    import platform
+
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # numpy before 1.26 has no mode="dicts"
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "blas": blas}
 
 
 def summary(results: list[dict]) -> dict:
