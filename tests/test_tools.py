@@ -20,7 +20,7 @@ def bench_compare():
 def _stub(monkeypatch, module, calls, correct=True):
     def run_workload(checkout, workload, seed, seconds):
         side = os.path.basename(checkout)
-        calls.append((workload, side))
+        calls.append((workload, side, seconds))
         value = 1.0 + len(calls)
         return {"correct": correct, "attempted": 10, "failed": 0,
                 "metrics": {"latency_p50_ms": {"value": value, "unit": "ms"},
@@ -28,7 +28,7 @@ def _stub(monkeypatch, module, calls, correct=True):
 
     monkeypatch.setattr(module, "extract", lambda rev, dest: f"{rev}-commit")
     monkeypatch.setattr(module, "run_workload", run_workload)
-    monkeypatch.setattr(module, "run_baseline", lambda checkout, seed, repeats: [{"function": "numpy.linalg.inv"}])
+    monkeypatch.setattr(module, "run_baseline", lambda checkout, seed: [{"function": "numpy.linalg.inv"}])
     monkeypatch.setattr(module, "versions", lambda: {"blas": "b", "numpy": "n", "python": "p"})
 
 
@@ -37,16 +37,20 @@ def test_bench_compare_writes_sorted_keys_and_alternates_sides(bench_compare, mo
     _stub(monkeypatch, bench_compare, calls)
     out = tmp_path / "BENCH.json"
     code = bench_compare.main(["--parent", "P", "--change", "C", "--out", str(out),
-                               "--workload", "update-stream", "--pairs", "3", "--seconds", "1"])
+                               "--workload", "update-stream"])
     assert code == 0
-    assert [side for _, side in calls] == ["parent", "change", "change", "parent", "parent", "change"]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        run_seconds = json.load(handle)["run_seconds"]
+    assert bench_compare.PAIRS == 10 and len(calls) == 2 * bench_compare.PAIRS
+    assert [side for _, side, _ in calls] == ["parent", "change", "change", "parent"] * (bench_compare.PAIRS // 2)
+    assert {seconds for _, _, seconds in calls} == {run_seconds}
     text = out.read_text(encoding="utf-8")
     payload = json.loads(text)
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert sorted(payload) == ["baseline", "commits", "nproc", "order", "pairs", "seconds", "seed",
                                "versions", "workloads"]
     assert payload["commits"] == {"change": "C-commit", "parent": "P-commit"}
-    assert (payload["seed"], payload["seconds"], payload["pairs"]) == (7, 1.0, 3)
+    assert (payload["seed"], payload["seconds"], payload["pairs"]) == (7, run_seconds, 10)
     assert payload["baseline"] == [{"function": "numpy.linalg.inv"}]
     sides = payload["workloads"]["update-stream"]
     assert sorted(sides) == ["change", "parent"]
@@ -54,20 +58,22 @@ def test_bench_compare_writes_sorted_keys_and_alternates_sides(bench_compare, mo
     assert sorted(parent) == ["attempted", "correct", "failed", "metrics"]
     p50 = parent["metrics"]["latency_p50_ms"]
     assert sorted(p50) == ["median", "q1", "q3", "unit", "values"]
-    assert p50["values"] == [2.0, 5.0, 6.0] and p50["unit"] == "ms"
-    assert p50["q1"] <= p50["median"] == 5.0 <= p50["q3"]
+    assert p50["values"] == [2.0, 5.0, 6.0, 9.0, 10.0, 13.0, 14.0, 17.0, 18.0, 21.0] and p50["unit"] == "ms"
+    assert p50["q1"] <= p50["median"] == 11.5 <= p50["q3"]
 
 
 def test_bench_compare_exits_1_on_an_incorrect_run(bench_compare, monkeypatch, tmp_path):
     _stub(monkeypatch, bench_compare, [], correct=False)
     out = tmp_path / "BENCH.json"
-    assert bench_compare.main(["--parent", "P", "--out", str(out), "--workload", "cold-solve", "--pairs", "2"]) == 1
-    assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["cold-solve"]["change"]["correct"] == [False, False]
+    assert bench_compare.main(["--parent", "P", "--out", str(out), "--workload", "cold-solve"]) == 1
+    assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["cold-solve"]["change"]["correct"] == [False] * 10
 
 
 def test_bench_compare_rejects_bad_arguments(bench_compare, tmp_path):
     out = str(tmp_path / "BENCH.json")
-    for argv in (["--parent", "P", "--out", out, "--pairs", "1"],
+    for argv in (["--parent", "P", "--out", out, "--pairs", "10"],
+                 ["--parent", "P", "--out", out, "--seconds", "5"],
+                 ["--parent", "P", "--out", out, "--baseline-repeats", "50"],
                  ["--parent", "P", "--out", out, "--workload", "no-such-workload"]):
         with pytest.raises(SystemExit) as exit_info:
             bench_compare.main(argv)
@@ -80,16 +86,16 @@ def test_bench_compare_parses_the_baseline_lines(bench_compare, monkeypatch):
         f"{'update-stream':14s} numpy.linalg.{'inv':8s} {256:4d}x{256:<4d} median {6.752:8.3f} ms  "
         f"quartiles {6.501:.3f}-{7.340:.3f} ms  (50 calls)",
         f"{'cold-solve':14s} numpy.linalg.{'pinv':8s} {192:4d}x{128:<4d} median {9.512:8.3f} ms  "
-        f"quartiles {9.382:.3f}-{9.568:.3f} ms  (50 calls)",
+        f"quartiles {9.382:.3f}-{9.568:.3f} ms  (20 calls)",
     ]
     monkeypatch.setattr(bench_compare, "run_python", lambda checkout, argv: "\n".join(lines) + "\n")
-    figures = bench_compare.run_baseline("checkout", 11, 50)
+    figures = bench_compare.run_baseline("checkout", 11)
     assert figures == [
         {"workload": "update-stream", "function": "numpy.linalg.inv", "shape": [256, 256],
          "median_ms": 6.752, "q1_ms": 6.501, "q3_ms": 7.34, "repeats": 50},
         {"workload": "cold-solve", "function": "numpy.linalg.pinv", "shape": [192, 128],
-         "median_ms": 9.512, "q1_ms": 9.382, "q3_ms": 9.568, "repeats": 50},
+         "median_ms": 9.512, "q1_ms": 9.382, "q3_ms": 9.568, "repeats": 20},
     ]
     monkeypatch.setattr(bench_compare, "run_python", lambda checkout, argv: "something else\n")
     with pytest.raises(bench_compare.RunError, match="unexpected line"):
-        bench_compare.run_baseline("checkout", 11, 50)
+        bench_compare.run_baseline("checkout", 11)

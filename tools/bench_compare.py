@@ -1,16 +1,16 @@
 """Benchmark two commits side by side and write the figures to one JSON file.
 
 Usage: python tools/bench_compare.py --parent REV [--change REV] --out FILE
-           [--workload NAME ...] [--seed S] [--seconds T] [--pairs K]
-           [--baseline-repeats R]
+           [--workload NAME ...] [--seed S]
 
 Each commit is extracted with `git archive` into its own temporary
 directory. For every workload (all of BENCHMARK.json's when none is named)
-the script runs `perfbench/run.py --workload NAME --seed S --seconds T` K
-times on each side, the parent first in even pairs and the change first in
-odd ones, and keeps every run's end-to-end metrics. It then runs
-`perfbench/baseline.py` in the change's checkout for the LAPACK figures on
-the same inputs.
+the script runs `perfbench/run.py --workload NAME --seed S --seconds T`
+PAIRS (10) times on each side, with T the `run_seconds` BENCHMARK.json
+fixes, the parent first in even pairs and the change first in odd ones, and
+keeps every run's end-to-end metrics. It then runs `perfbench/baseline.py`
+at its default repeat count in the change's checkout for the LAPACK figures
+on the same inputs.
 
 FILE is sorted-key JSON holding both commits, the seed, the run length, the
 pair count, `nproc`, the Python, numpy and BLAS versions, and per workload
@@ -34,9 +34,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_LINE = re.compile(
     r"^(?P<workload>\S+)\s+numpy\.linalg\.(?P<function>\S+)\s+(?P<m>\d+)x(?P<n>\d+)\s+"
-    r"median\s+(?P<median>\S+) ms\s+quartiles (?P<q1>[^-\s]+)-(?P<q3>\S+) ms"
+    r"median\s+(?P<median>\S+) ms\s+quartiles (?P<q1>[^-\s]+)-(?P<q3>\S+) ms\s+\((?P<repeats>\d+) calls\)$"
 )
 SIDES = ("parent", "change")
+PAIRS = 10  # the fewest pairs a gain can be judged on
 
 
 class RunError(RuntimeError):
@@ -71,9 +72,9 @@ def run_workload(checkout: str, workload: str, seed: int, seconds: float) -> dic
     return json.loads(out.strip().splitlines()[-1])
 
 
-def run_baseline(checkout: str, seed: int, repeats: int) -> list[dict]:
+def run_baseline(checkout: str, seed: int) -> list[dict]:
     """perfbench/baseline.py's figures, one entry per shape it times."""
-    out = run_python(checkout, ["perfbench/baseline.py", "--seed", str(seed), "--repeats", str(repeats)])
+    out = run_python(checkout, ["perfbench/baseline.py", "--seed", str(seed)])
     figures = []
     for line in out.splitlines():
         match = BASELINE_LINE.match(line)
@@ -86,7 +87,7 @@ def run_baseline(checkout: str, seed: int, repeats: int) -> list[dict]:
             "median_ms": float(match["median"]),
             "q1_ms": float(match["q1"]),
             "q3_ms": float(match["q3"]),
-            "repeats": repeats,
+            "repeats": int(match["repeats"]),
         })
     return figures
 
@@ -121,15 +122,15 @@ def summary(results: list[dict]) -> dict:
     }
 
 
-def compare(checkouts: dict, workloads: list[str], seed: int, seconds: float, pairs: int) -> dict:
-    """Per workload, the summary of each side over `pairs` alternating pairs of runs."""
+def compare(checkouts: dict, workloads: list[str], seed: int, seconds: float) -> dict:
+    """Per workload, the summary of each side over PAIRS alternating pairs of runs."""
     figures = {}
     for workload in workloads:
         results = {side: [] for side in SIDES}
-        for k in range(pairs):
+        for k in range(PAIRS):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                print(f"{workload}: pair {k + 1}/{pairs}, {side}", file=sys.stderr, flush=True)
+                print(f"{workload}: pair {k + 1}/{PAIRS}, {side}", file=sys.stderr, flush=True)
                 results[side].append(run_workload(checkouts[side], workload, seed, seconds))
         figures[workload] = {side: summary(results[side]) for side in SIDES}
     return figures
@@ -142,17 +143,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--workload", action="append", help="workload to run; repeatable (default: all)")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--baseline-repeats", type=int, default=50)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, so each side has quartiles")
-    if args.seconds <= 0 or args.baseline_repeats < 2:
-        parser.error("--seconds must be positive and --baseline-repeats at least 2")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
-        known = [w["name"] for w in json.load(handle)["workloads"]]
+        benchmark = json.load(handle)
+    seconds = benchmark["run_seconds"]
+    known = [w["name"] for w in benchmark["workloads"]]
     workloads = args.workload or known
     unknown = sorted(set(workloads) - set(known))
     if unknown:
@@ -165,8 +161,8 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(checkouts[side])
             commits[side] = extract(rev, checkouts[side])
         try:
-            figures = compare(checkouts, workloads, args.seed, args.seconds, args.pairs)
-            baseline = run_baseline(checkouts["change"], args.seed, args.baseline_repeats)
+            figures = compare(checkouts, workloads, args.seed, seconds)
+            baseline = run_baseline(checkouts["change"], args.seed)
         except RunError as err:
             print(f"error: {err}", file=sys.stderr)
             return 2
@@ -174,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "commits": commits,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
+        "seconds": seconds,
+        "pairs": PAIRS,
         "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
         "nproc": len(os.sched_getaffinity(0)),
         "versions": versions(),
@@ -187,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     clean = all(all(fig[side]["correct"]) and not any(fig[side]["failed"])
                 for fig in figures.values() for side in SIDES)
-    print(f"wrote {args.out}: {len(workloads)} workload(s) x {args.pairs} pairs")
+    print(f"wrote {args.out}: {len(workloads)} workload(s) x {PAIRS} pairs")
     return 0 if clean else 1
 
 
