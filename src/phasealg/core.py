@@ -92,9 +92,15 @@ def _require_finite(arr: np.ndarray):
         raise ValueError(f"non-finite entry at ({i}, {k})")
 
 
+def _parts(arr: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of a complex128 (or float64) array's
+    entries as one flat float64 array: a view unless arr is strided."""
+    return arr.ravel(order="K").view(np.float64)
+
+
 def _largest_part(arr: np.ndarray) -> float:
     """max over entries of max(|re|, |im|), without an m-by-n temporary."""
-    parts = arr.ravel(order="K").view(np.float64)  # a view unless arr is strided
+    parts = _parts(arr)
     return float(max(parts.max(), -parts.min()))
 
 
@@ -177,16 +183,33 @@ def conjugate_transpose(a: DenseMatrix) -> DenseMatrix:
 def _frobenius(x: np.ndarray) -> float:
     """||x||_F at any scale. np.linalg.norm sums squares, which overflow to inf
     once entries pass about 1.3e154 and can all underflow to 0; only then is
-    the norm taken again on x / max|x|, so finite nonzero results are exactly
-    np.linalg.norm's."""
+    the norm taken again on the real and imaginary parts divided by the
+    largest of them, so finite nonzero results are exactly np.linalg.norm's.
+    The division is real by real: a complex array divided by a subnormal
+    real overflows."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
     if 0.0 < norm < np.inf:
         return norm
-    largest = float(np.abs(x).max())
+    largest = _largest_part(x)
     if not 0.0 < largest < np.inf:  # all zero, or inf/nan entries
         return norm
-    return largest * float(np.linalg.norm(x / largest))
+    return largest * float(np.linalg.norm(_parts(x) / largest))
+
+
+def _norm_product(a: np.ndarray, b: np.ndarray) -> float:
+    """||a||_F * ||b||_F at any scale at which the product fits in float64.
+    One factor alone can leave float64, as ||a^-1||_F does for a = 6e-309 * I;
+    only then is the product taken again as ||a / s||_F * ||s * b||_F with
+    s = _largest_part(a)."""
+    product = _frobenius(a) * _frobenius(b)
+    if 0.0 < product < np.inf:
+        return product
+    scale = _largest_part(a)
+    if not 0.0 < scale < np.inf:
+        return product
+    with np.errstate(over="ignore"):  # s * b overflows only where the product does
+        return _frobenius(_parts(a) / scale) * _frobenius(_parts(b) * scale)
 
 
 def frobenius_norm(a: DenseMatrix) -> float:
@@ -228,7 +251,8 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
     inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide. The one system S
     inverted is rejected as singular when its reciprocal Frobenius condition
-    1 / (||S||_F * ||S^-1||_F) is at most rank_eps. Counts one factorization."""
+    1 / (||S||_F * ||S^-1||_F) is at most rank_eps, with the product of the two
+    norms taken at any scale (_norm_product). Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
@@ -241,7 +265,7 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
+    reciprocal_condition = 1.0 / _norm_product(system, inv)
     threshold = DEFAULT_TOLERANCES.rank_eps
     if not reciprocal_condition > threshold:  # also rejects nan from non-finite inverse entries
         raise SingularMatrixError(

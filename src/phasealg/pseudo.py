@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle import AngleMatrix, gram
-from .core import DEFAULT_TOLERANCES, DenseMatrix, checked_pinv, frobenius_norm, lu_factorize, rescale
+from .core import (
+    DEFAULT_TOLERANCES,
+    DenseMatrix,
+    _norm_product,
+    checked_pinv,
+    frobenius_norm,
+    lu_factorize,
+    rescale,
+)
 
 __all__ = [
     "PenroseReport",
@@ -60,6 +68,40 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
     r4 = float(np.linalg.norm(xa.conj().T - xa))
     limit = DEFAULT_TOLERANCES.residual_eps * (1.0 + frobenius_norm(a))
     return PenroseReport(r1, r2, r3, r4, limit, max(r1, r2, r3, r4) <= limit)
+
+
+# c in the square inverse gate's limit c * n * u. The smallest n is the
+# tightest: LAPACK inverses of random complex 1x1 bases scored up to 8 u,
+# 2x2 ones up to 3.7 * 2u, graded 30x30 ones (condition 1 to 1e12) up to
+# 0.42 * 30u and 256x256 ones up to 0.07 * 256u. An inverse perturbed by a
+# relative 1e-10 scores above 400 * 256u.
+_INVERSE_GATE_C = 10.0
+
+
+def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(ratio, limit) of the residual gate for a candidate inverse x of a
+    square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F)
+    and limit = c * n * u, with u = eps / 2.
+
+    Two products instead of penrose_check's four, and at least as strict as
+    the four normwise-relative Penrose residuals: with E = AX - I and
+    F = XA - I, ||AXA - A|| <= ||E|| ||A||, ||XAX - X|| <= ||X|| ||E||, and
+    the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. E and F
+    are of order one at any scale, and the denominator is taken at any scale
+    (core._norm_product), so the ratio does not change under A -> sA,
+    X -> X / s. The candidate passes when ratio <= limit; a nan ratio fails.
+    The denominator is finite for every x that checked_pinv returns, whose
+    ||A||_F ||X||_F is below 1 / rank_eps.
+    """
+    n = a.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
+        ax = a @ x
+        xa = x @ a
+        ax.reshape(-1)[:: n + 1] -= 1.0
+        xa.reshape(-1)[:: n + 1] -= 1.0
+        residual = np.maximum(np.linalg.norm(ax), np.linalg.norm(xa))  # propagates nan
+        ratio = float(2.0 * residual / _norm_product(a, x))
+    return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 
 
 def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:

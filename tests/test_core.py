@@ -166,6 +166,13 @@ def test_dense_algebra_basics():
     assert frobenius_norm(DenseMatrix([[3, 4j]])) == pytest.approx(5.0, abs=0)
 
 
+def test_frobenius_norm_of_subnormal_complex_entries():
+    # every square underflows to 0, and dividing a complex array by a
+    # subnormal real overflows; the norm is taken on the real parts instead
+    part = 3.4e-309
+    assert frobenius_norm(DenseMatrix(part * (1 - 1j) * np.eye(3))) == part * np.sqrt(6)
+
+
 complex_entries = st.complex_numbers(
     min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
 )

@@ -19,10 +19,11 @@ from phasealg import (
     precompute,
     run_benchmark,
 )
-from phasealg import core
+from phasealg import core, engine
 from phasealg.core import _RESCALE_SAFE, rescale
 from phasealg.engine import PrecomputedBase, _update_angles
 from phasealg.generate import draw_angle, draw_well_conditioned, stream_generator
+from test_structured import _graded
 
 
 def test_precompute_identity():
@@ -47,6 +48,57 @@ def test_precompute_random_passes_penrose_at_construction():
 def test_precompute_rejects_rank_deficient():
     with pytest.raises(SingularMatrixError):
         precompute(DenseMatrix([[1, 1], [2, 2], [3, 3]]))
+
+
+def _assert_gate_rejects(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
+    """precompute(a) fails its square gate when LAPACK's inverse is replaced by candidate."""
+    monkeypatch.setattr(engine, "checked_pinv", lambda arr: np.array(candidate, dtype=np.complex128))
+    with pytest.raises(RuntimeError, match=r"internal consistency failure: .*relative residual \S+ > \S+"):
+        precompute(a)
+
+
+@pytest.mark.parametrize("condition", [1e3, 1e5, 1e8])
+def test_precompute_gate_on_graded_square_bases(monkeypatch, condition):
+    a = _graded(5, 30, condition)
+    x = precompute(a).base_pinv.array
+    noise = draw_well_conditioned(stream_generator(5, 1), 30, 30).array.real
+    _assert_gate_rejects(monkeypatch, a, x * (1 + 1e-6 * noise))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 1e-308, 6e-309])
+def test_precompute_gate_holds_at_every_scale(monkeypatch, scale):
+    # at 6e-309, ||A^-1||_F = 2.9e308 overflows: a denominator of plain norms
+    # would be inf and pass every candidate
+    a = DenseMatrix(scale * np.eye(3))
+    x = precompute(a).base_pinv.array
+    assert np.abs(x - np.eye(3) / scale).max() <= 1e-15 / scale
+    _assert_gate_rejects(monkeypatch, a, x * (1 + 1e-6 * np.array([1.0, -2.0, 0.5])))
+
+
+@pytest.mark.parametrize("ulps, passes", [(1, True), (24, False)])
+def test_precompute_gate_limit(monkeypatch, ulps, passes):
+    # A = I_4 and X = (1 + k eps) I give AX - I = XA - I = k eps I exactly, and
+    # a ratio of k / 2 * n u: 0.5 n u at k = 1 and 12 n u at k = 24 lie on
+    # either side of the limit c n u for any c from 1 to 10
+    a = DenseMatrix(np.eye(4))
+    candidate = (1 + ulps * np.finfo(np.float64).eps) * np.eye(4)
+    if passes:
+        monkeypatch.setattr(engine, "checked_pinv", lambda arr: candidate.astype(np.complex128))
+        assert np.array_equal(precompute(a).base_pinv.array, candidate)
+    else:
+        _assert_gate_rejects(monkeypatch, a, candidate)
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
+def test_precompute_gate_checks_both_residuals(monkeypatch, entry):
+    # for A = diag(1, s), an error d at X[1, 0] is s d in AX - I and d in
+    # XA - I; at X[0, 1] the two swap. The larger one scores about 1000 n u,
+    # the smaller about 1e-3 n u.
+    s = 2.0 ** -20
+    a = DenseMatrix(np.diag([1.0, s]))
+    candidate = np.diag([1.0, 1 / s])
+    candidate[entry] = 1e3 * np.finfo(np.float64).eps / s
+    _assert_gate_rejects(monkeypatch, a, candidate)
 
 
 def test_apply_update_zero_phases_returns_base():

@@ -186,9 +186,10 @@ def _assert_scaled_inverse(x: np.ndarray, expected: np.ndarray):
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e300, 1e-300])
+@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e300, 1e-300, 6e-309])
 def test_scaled_identity_is_not_singular_on_either_route(scale):
-    # ||A||_F or ||A^-1||_F leaves float64 when its squares are summed naively
+    # ||A||_F or ||A^-1||_F leaves float64 when its squares are summed naively;
+    # at 6e-309, ||A^-1||_F itself does
     t = draw_angle(stream_generator(7, 1), 3, 3)
     a = DenseMatrix(scale * np.eye(3))
     _assert_scaled_inverse(inverse_structured(a, t).array, np.eye(3) / scale * t.hermitian().materialize().array)
