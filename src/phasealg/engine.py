@@ -43,8 +43,8 @@ class PrecomputedBase:
     base_pinv is the inverse for square sources and the pseudoinverse
     otherwise. It is checked once, by precompute, and never recomputed: a
     square inverse X of A passes a gate on its two relative residuals,
-    2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F) <= 10 n u, which
-    holds at every scale whose inverse fits in float64; a tall or wide
+    2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F) <= 10 n u, whose
+    ratio does not change with the scale of A; a tall or wide
     pseudoinverse passes penrose_check. Its largest component, cached on the
     DenseMatrix and warmed by precompute, proves every update finite without
     a scan of the update (see core.rescale).
