@@ -92,8 +92,8 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
 @pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
 def test_precompute_gate_checks_both_residuals(monkeypatch, entry):
     # for A = diag(1, s), an error d at X[1, 0] is s d in AX - I and d in
-    # XA - I; at X[0, 1] the two swap. The larger one scores about 1000 n u,
-    # the smaller about 1e-3 n u.
+    # XA - I; at X[0, 1] the two swap. The larger one scores about 2000 n u,
+    # the smaller about 2e-3 n u.
     s = 2.0 ** -20
     a = DenseMatrix(np.diag([1.0, s]))
     candidate = np.diag([1.0, 1 / s])
