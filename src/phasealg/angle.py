@@ -71,9 +71,9 @@ class AngleMatrix:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum gives nan, which DenseMatrix rejects
             dense = np.exp(1j * (self.theta[:, None] + self.phi[None, :]))
         try:
-            return DenseMatrix(dense)
+            return DenseMatrix._wrap(dense)
         except ValueError:
-            return DenseMatrix(np.exp(1j * self.theta)[:, None] * np.exp(1j * self.phi)[None, :])
+            return DenseMatrix._wrap(np.exp(1j * self.theta)[:, None] * np.exp(1j * self.phi)[None, :])
 
     def hermitian(self) -> AngleMatrix:
         """Conjugate transpose as a phase swap: an n-by-m angle matrix."""

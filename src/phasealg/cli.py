@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -207,12 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser unchanged,
+    and building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

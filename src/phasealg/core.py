@@ -81,13 +81,22 @@ class DeterminantRangeError(ArithmeticError):
         self.log_abs = float(log_abs)
 
 
+# Size up to which _require_finite scans entries directly: below about
+# 64x64, entering np.errstate costs more than the scan it would save.
+_DIRECT_SCAN_SIZE = 4096
+
+
 def _require_finite(arr: np.ndarray):
-    # A finite sum means finite entries (inf and nan propagate), and costs
-    # half the entrywise scan; only a non-finite sum, which overflow alone
-    # can cause, needs the scan.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = arr.sum()
-    if not np.isfinite(total) and not np.isfinite(arr).all():
+    # Above _DIRECT_SCAN_SIZE, a finite sum means finite entries (inf and nan
+    # propagate) and costs half the entrywise scan; only a non-finite sum,
+    # which overflow alone can cause, needs the scan.
+    if arr.size <= _DIRECT_SCAN_SIZE:
+        finite = np.isfinite(arr).all()
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        finite = np.isfinite(total) or np.isfinite(arr).all()
+    if not finite:
         i, k = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"non-finite entry at ({i}, {k})")
 
@@ -224,7 +233,7 @@ def hadamard_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     out = np.empty(a.shape, dtype=np.complex128)
     out.real = a.array.real * b.array.real - a.array.imag * b.array.imag
     out.imag = a.array.real * b.array.imag + a.array.imag * b.array.real
-    return DenseMatrix(out)
+    return DenseMatrix._wrap(out)
 
 
 def hadamard_inverse(a: DenseMatrix) -> DenseMatrix:
@@ -234,7 +243,7 @@ def hadamard_inverse(a: DenseMatrix) -> DenseMatrix:
     if small.any():
         bad = divmod(int(np.argmax(small)), a.cols)  # row-major index of the first small entry
         raise ValueError(f"entry at {bad} is zero (|.| <= {eps}); entrywise reciprocal undefined")
-    return DenseMatrix(1.0 / a.array)
+    return DenseMatrix._wrap(1.0 / a.array)
 
 
 # Factorization counter: test probe asserting how often structured paths
@@ -247,12 +256,23 @@ def lu_factorization_count() -> int:
     return _lu_factorizations
 
 
+def _divide_parts(x: np.ndarray, scale: float) -> np.ndarray:
+    """x / scale for a real scale, divided on the float64 view of x: numpy's
+    complex division by a subnormal real overflows."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return (x.view(np.float64) / scale).view(np.complex128)
+
+
 def checked_pinv(a: np.ndarray) -> np.ndarray:
     """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
     inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide. The one system S
     inverted is rejected as singular when its reciprocal Frobenius condition
     1 / (||S||_F * ||S^-1||_F) is at most rank_eps, with the product of the two
-    norms taken at any scale (_norm_product). Counts one factorization."""
+    norms taken at any scale (_norm_product). Only when LAPACK's inverse is
+    not finite, as inside inv(1e-308 * S) for a well-conditioned S, is S^-1
+    taken again as inv(S / s) / s with s = _largest_part(S), on float64
+    views; a retry that is still not finite is rejected as singular. Counts
+    one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
@@ -261,12 +281,17 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     else:
         adjoint = a.conj().T
         system = adjoint @ a if m > n else a @ adjoint
+    threshold = DEFAULT_TOLERANCES.rank_eps
     try:
         inv = np.linalg.inv(system)
+        reciprocal_condition = 1.0 / _norm_product(system, inv)
+        if not reciprocal_condition > threshold and not np.isfinite(inv).all():
+            scale = _largest_part(system)
+            with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
+                inv = _divide_parts(np.linalg.inv(_divide_parts(system, scale)), scale)
+            reciprocal_condition = 1.0 / _norm_product(system, inv)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    reciprocal_condition = 1.0 / _norm_product(system, inv)
-    threshold = DEFAULT_TOLERANCES.rank_eps
     if not reciprocal_condition > threshold:  # also rejects nan from non-finite inverse entries
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
@@ -325,24 +350,33 @@ class LUFactorization:
     P A is row `permutation[i]` of A, and `parity` is the sign of P. Pivots
     are chosen by largest modulus, ties broken by lowest row index.
     Singularity is decided at solve time by the pivot test
-    |u_ii| <= rank_eps * ||A||_F (`source_norm` is ||A||_F), never by
-    determinant magnitude.
+    |u_ii| <= rank_eps * ||A||_F, never by determinant magnitude.
+    `source_norm` is ||A||_F, computed the first time a pivot test needs it
+    (or on first read) and cached; a determinant alone never pays for it.
     """
 
-    __slots__ = ("permutation", "packed", "parity", "source_norm")
+    __slots__ = ("permutation", "packed", "parity", "_source", "_source_norm")
 
-    def __init__(self, permutation, packed, parity, source_norm):
+    def __init__(self, permutation, packed, parity, source: DenseMatrix):
         self.permutation = permutation
         self.packed = packed
         self.parity = parity
-        self.source_norm = source_norm
+        self._source = source
+        self._source_norm = None
+
+    @property
+    def source_norm(self) -> float:
+        """||A||_F of the factored matrix, computed once."""
+        if self._source_norm is None:
+            self._source_norm = frobenius_norm(self._source)
+        return self._source_norm
 
     def det(self) -> complex:
-        return complex(self.parity * np.prod(np.diagonal(self.packed)))
+        return complex(self.parity * self.packed.diagonal().prod())
 
     def _check_pivots(self, pivot_floor: float | None = None):
         floor = DEFAULT_TOLERANCES.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
-        worst = float(np.abs(np.diagonal(self.packed)).min())
+        worst = float(np.abs(self.packed.diagonal()).min())
         if worst <= floor:
             raise SingularMatrixError(
                 f"matrix is singular to working precision: pivot {worst:.3e} <= threshold {floor:.3e}",
@@ -350,48 +384,55 @@ class LUFactorization:
             )
 
     def solve(self, rhs: np.ndarray, pivot_floor: float | None = None) -> np.ndarray:
-        """Solve A X = rhs by forward/back substitution over all columns at once."""
+        """Solve A X = rhs by forward/back substitution over all columns at
+        once, in place on one permuted copy of rhs."""
         n = self.packed.shape[0]
         if rhs.shape[0] != n:
             raise ValueError(f"solve dimension mismatch: factor is {n}x{n}, rhs has {rhs.shape[0]} rows")
         self._check_pivots(pivot_floor)
-        b = np.asarray(rhs, dtype=np.complex128)[self.permutation]
-        y = np.empty_like(b)
+        x = np.asarray(rhs, dtype=np.complex128)[self.permutation]
         lu = self.packed
-        for i in range(n):
-            y[i] = b[i] - lu[i, :i] @ y[:i]
-        x = np.empty_like(y)
+        for i in range(1, n):  # row 0 of L Y = P rhs is row 0 of P rhs
+            x[i] -= lu[i, :i] @ x[:i]
         for i in range(n - 1, -1, -1):
-            x[i] = (y[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+            x[i] -= lu[i, i + 1:] @ x[i + 1:]
+            x[i] /= lu[i, i]
         return x
 
     def inverse(self, pivot_floor: float | None = None) -> DenseMatrix:
-        return DenseMatrix(self.solve(np.eye(self.packed.shape[0], dtype=np.complex128), pivot_floor))
+        return DenseMatrix._wrap(self.solve(np.eye(self.packed.shape[0], dtype=np.complex128), pivot_floor))
 
 
 def lu_factorize(a: DenseMatrix) -> LUFactorization:
-    """Factor a square matrix with partial (row) pivoting by largest modulus."""
+    """Factor a square matrix with partial (row) pivoting by largest modulus.
+
+    Column k is eliminated for k < n - 1 only: the last pass has one
+    candidate pivot and nothing below or right of it to update.
+    """
     global _lu_factorizations
     if a.rows != a.cols:
         raise ValueError(f"lu_factorize requires a square matrix, got {a.shape}")
     _lu_factorizations += 1
     n = a.rows
     work = a.array.copy()
-    perm = np.arange(n)
+    perm = list(range(n))
     parity = 1
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(work[k:, k])))  # argmax takes the first max: lowest row wins ties
+    for k in range(n - 1):
+        p = k + int(np.abs(work[k:, k]).argmax())  # argmax takes the first max: lowest row wins ties
         if p != k:
-            work[[k, p]] = work[[p, k]]
+            row = work[k].copy()
+            work[k] = work[p]
+            work[p] = row
             perm[k], perm[p] = perm[p], perm[k]
             parity = -parity
         pivot = work[k, k]
-        if pivot != 0 and k + 1 < n:
+        if pivot != 0:
             col = work[k + 1:, k]
             col /= pivot
-            work[k + 1:, k + 1:] -= col[:, None] * work[k, None, k + 1:]
+            schur = work[k + 1:, k + 1:]  # updated in place, not written back onto itself
+            schur -= col[:, None] * work[k, None, k + 1:]
     work.flags.writeable = False
-    return LUFactorization(perm, work, parity, frobenius_norm(a))
+    return LUFactorization(np.array(perm), work, parity, a)
 
 
 def det_lu(a: DenseMatrix) -> complex:

@@ -42,7 +42,9 @@ def stream_generator(seed: int, stream: int) -> np.random.Generator:
 
 def draw_dense(gen: np.random.Generator, rows: int, cols: int) -> DenseMatrix:
     """Complex matrix with i.i.d. standard-normal real and imaginary parts."""
-    return DenseMatrix(gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols)))
+    if rows < 1 or cols < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {(rows, cols)}")
+    return DenseMatrix._wrap(gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols)))
 
 
 def draw_angle(gen: np.random.Generator, rows: int, cols: int) -> AngleMatrix:

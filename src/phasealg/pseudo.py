@@ -118,12 +118,12 @@ def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
         return lu_factorize(a).inverse()
     floor = DEFAULT_TOLERANCES.rank_eps * float(np.linalg.norm(arr)) ** 2
     if a.rows > a.cols:
-        gram_mat = DenseMatrix(arr.conj().T @ arr)
+        gram_mat = DenseMatrix._wrap(arr.conj().T @ arr)
         solved = lu_factorize(gram_mat).solve(arr.conj().T, pivot_floor=floor)
-        return DenseMatrix(solved)
-    gram_mat = DenseMatrix(arr @ arr.conj().T)
+        return DenseMatrix._wrap(solved)
+    gram_mat = DenseMatrix._wrap(arr @ arr.conj().T)
     gram_inv = lu_factorize(gram_mat).inverse(pivot_floor=floor)
-    return DenseMatrix(arr.conj().T @ gram_inv.array)
+    return DenseMatrix._wrap(arr.conj().T @ gram_inv.array)
 
 
 def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:

@@ -101,7 +101,9 @@ def cofactor(a: DenseMatrix, i: int, j: int) -> complex:
     of cofactors is already the adjugate and dividing by det(A) gives the
     inverse with no final transpose. Most texts define the cofactor on the
     (i, j) minor and transpose at the end; this convention does not.
-    A 1x1 matrix has cofactor 1 (empty minor).
+    A 1x1 matrix has cofactor 1 (empty minor). The minor is taken with one
+    boolean index and wrapped without a finiteness scan: it is a submatrix of
+    a finite DenseMatrix.
     """
     n = a.rows
     if a.cols != n:
@@ -111,8 +113,11 @@ def cofactor(a: DenseMatrix, i: int, j: int) -> complex:
     if n == 1:
         return complex(1.0)
     sign = -1.0 if (i + j) % 2 else 1.0
-    minor = np.delete(np.delete(a.array, j, axis=0), i, axis=1)
-    return complex(sign * det_lu(DenseMatrix(minor)))
+    keep = np.ones((n, n), dtype=bool)
+    keep[j] = False
+    keep[:, i] = False
+    minor = a.array[keep].reshape(n - 1, n - 1)
+    return complex(sign * det_lu(DenseMatrix._wrap(minor, proven_finite=True)))
 
 
 def adjugate(a: DenseMatrix) -> DenseMatrix:
@@ -122,7 +127,7 @@ def adjugate(a: DenseMatrix) -> DenseMatrix:
     for i in range(n):
         for j in range(n):
             grid[i, j] = cofactor(a, i, j)
-    return DenseMatrix(grid)
+    return DenseMatrix._wrap(grid)
 
 
 def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
@@ -138,4 +143,4 @@ def inverse_adjugate_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
         raise ValueError(f"adjugate oracle capped at n <= {ADJUGATE_CAP}, got n = {n}")
     factorization = lu_factorize(a)
     factorization._check_pivots()
-    return DenseMatrix(adjugate(a).array / factorization.det() * t.hermitian().materialize().array)
+    return DenseMatrix._wrap(adjugate(a).array / factorization.det() * t.hermitian().materialize().array)

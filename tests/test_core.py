@@ -43,6 +43,16 @@ def test_dense_matrix_accepts_finite_entries_whose_sum_overflows():
     assert np.isfinite(a.array).all()
 
 
+@pytest.mark.parametrize("n", [2, 128])  # either side of core._DIRECT_SCAN_SIZE
+def test_finiteness_scan_on_either_side_of_the_direct_scan_size(n):
+    assert 2 * 2 <= core._DIRECT_SCAN_SIZE < 128 * 128
+    values = np.full((n, n), 1e308 + 1e308j)
+    assert DenseMatrix(values).shape == (n, n)
+    values[n - 1, 1] = complex(0.0, np.inf)
+    with pytest.raises(ValueError, match=rf"non-finite entry at \({n - 1}, 1\)"):
+        DenseMatrix(values)
+
+
 def test_rescale_rejects_overflow_from_rotation():
     # finite entry whose modulus exceeds the float maximum: a pi/4 rotation
     # moves it all onto one axis, which overflows
@@ -306,6 +316,105 @@ def test_lu_factorization_counter_increments():
     before = lu_factorization_count()
     lu_factorize(identity(3))
     assert lu_factorization_count() == before + 1
+
+
+def _reference_lu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(permutation, packed, parity) from the hand-LU loop as it stood before
+    its call overhead was cut, kept verbatim: lu_factorize must reproduce it
+    bit for bit, since verify reports are compared byte for byte."""
+    n = a.shape[0]
+    work = a.copy()
+    perm = np.arange(n)
+    parity = 1
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(work[k:, k])))  # argmax takes the first max: lowest row wins ties
+        if p != k:
+            work[[k, p]] = work[[p, k]]
+            perm[k], perm[p] = perm[p], perm[k]
+            parity = -parity
+        pivot = work[k, k]
+        if pivot != 0 and k + 1 < n:
+            col = work[k + 1:, k]
+            col /= pivot
+            work[k + 1:, k + 1:] -= col[:, None] * work[k, None, k + 1:]
+    return perm, work, parity
+
+
+_ZERO_PIVOT_COLUMN = np.array([[0, 1, 2], [0, 3, 4], [0, 5, 7]], dtype=np.complex128)
+
+
+def _bitwise_lu_cases() -> list[np.ndarray]:
+    cases = [draw_dense(stream_generator(1201, n), n, n).array for n in range(1, 13)]
+    cases += [
+        np.array([[1, 2, 0], [-1, 5, 1], [1j, 0, 2]], dtype=np.complex128),   # three tied pivot moduli
+        np.array([[3, 1, 1], [-3j, 2, 0], [3, 0, 1]], dtype=np.complex128),   # ties again after the first swap
+        _ZERO_PIVOT_COLUMN,
+        np.array([[1, 2, 3], [2, 4, 6], [1, 0, 0]], dtype=np.complex128),     # zero pivot after elimination
+    ]
+    cases += [np.round(draw_dense(stream_generator(1203, n), n, n).array) for n in range(2, 9)]  # integer entries tie often
+    return cases
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("a", _bitwise_lu_cases(), ids=lambda a: f"{a.shape[0]}x{a.shape[0]}")
+def test_lu_factorize_is_bitwise_the_reference_loop(a):
+    before = lu_factorization_count()
+    f = lu_factorize(DenseMatrix(a))
+    assert lu_factorization_count() == before + 1
+    perm, packed, parity = _reference_lu(a)
+    assert np.array_equal(_bits(f.packed), _bits(packed))
+    assert np.array_equal(f.permutation, perm)
+    assert f.parity == parity
+    assert f.source_norm == frobenius_norm(DenseMatrix(a))
+
+
+def _reference_solve(f, rhs: np.ndarray) -> np.ndarray:
+    """LUFactorization.solve's substitution as it stood before it was made
+    to work in place, kept verbatim as its bitwise reference."""
+    n = f.packed.shape[0]
+    b = np.asarray(rhs, dtype=np.complex128)[f.permutation]
+    y = np.empty_like(b)
+    lu = f.packed
+    for i in range(n):
+        y[i] = b[i] - lu[i, :i] @ y[:i]
+    x = np.empty_like(y)
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lu_solve_is_bitwise_the_reference_substitution(n):
+    gen = stream_generator(1207, n)
+    f = lu_factorize(draw_well_conditioned(gen, n, n))
+    for rhs in (np.eye(n, dtype=np.complex128), draw_dense(gen, n, 3).array, draw_dense(gen, n, 1).array[:, 0]):
+        assert np.array_equal(_bits(f.solve(rhs)), _bits(_reference_solve(f, rhs)))
+    assert np.array_equal(_bits(f.inverse().array), _bits(_reference_solve(f, np.eye(n))))
+
+
+def test_lu_pivot_test_raises_at_the_same_floor():
+    # ||diag(1, d)||_F rounds to 1 for d = 1e-10, so the floor rank_eps * ||A||_F is d itself
+    floor = DEFAULT_TOLERANCES.rank_eps
+    at_floor = lu_factorize(DenseMatrix(np.diag([1.0, floor])))
+    assert at_floor.source_norm == 1.0
+    with pytest.raises(SingularMatrixError, match=f"pivot {floor:.3e} <= threshold {floor:.3e}") as excinfo:
+        at_floor._check_pivots()
+    assert excinfo.value.pivot == floor
+    lu_factorize(DenseMatrix(np.diag([1.0, np.nextafter(floor, 1.0)])))._check_pivots()
+    zero_column = DenseMatrix(_ZERO_PIVOT_COLUMN)
+    with pytest.raises(SingularMatrixError, match=f"pivot 0.000e\\+00 <= threshold {floor * frobenius_norm(zero_column):.3e}"):
+        inverse_lu(zero_column)
+
+
+def test_lu_determinant_never_takes_the_source_norm(monkeypatch):
+    def refuse(a):
+        raise AssertionError("det_lu took ||A||_F")
+
+    monkeypatch.setattr(core, "frobenius_norm", refuse)
+    assert det_lu(DenseMatrix([[0, 2], [3, 1]])) == -6
 
 
 LAPACK_SOLVERS = {"inv", "solve", "pinv", "slogdet", "det", "qr", "svd", "lstsq"}

@@ -75,6 +75,25 @@ def test_precompute_gate_holds_at_every_scale(monkeypatch, scale):
     _assert_gate_rejects(monkeypatch, a, x * (1 + 1e-6 * np.array([1.0, -2.0, 0.5])))
 
 
+def test_precompute_accepts_a_dense_base_at_1e_308():
+    # B^-1 has largest modulus 0.75, so (1e-308 B)^-1 fits in float64, but
+    # LAPACK's inv of 1e-308 B overflows inside and returns inf and nan
+    # entries; checked_pinv takes it again as inv(B') / s on the scaled B'
+    b = draw_well_conditioned(stream_generator(3, 0), 8, 8).array
+    x = core.checked_pinv(1e-308 * b)
+    expected = np.linalg.inv(b) / 1e-308
+    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+    x = precompute(DenseMatrix(1e-308 * b)).base_pinv.array
+    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_checked_pinv_still_rejects_an_inverse_beyond_float64():
+    # at 3e-309 the inverse's largest modulus, 0.75 / 3e-309, exceeds float64's
+    b = draw_well_conditioned(stream_generator(3, 0), 8, 8).array
+    with pytest.raises(SingularMatrixError, match="reciprocal condition 0.000e\\+00"):
+        core.checked_pinv(3e-309 * b)
+
+
 @pytest.mark.parametrize("ulps, passes", [(1, True), (24, False)])
 def test_precompute_gate_limit(monkeypatch, ulps, passes):
     # A = I_4 and X = (1 + k eps) I give AX - I = XA - I = k eps I exactly, and

@@ -49,6 +49,12 @@ def test_draw_dense_shape_and_finiteness():
     assert a.array.imag.any()  # genuinely complex
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+def test_draw_dense_rejects_empty_shapes(rows, cols):
+    with pytest.raises(ValueError, match=rf"matrix dimensions must be positive, got \({rows}, {cols}\)"):
+        draw_dense(stream_generator(7, 0), rows, cols)
+
+
 def test_draw_angle_phase_range():
     t = draw_angle(stream_generator(7, 0), 50, 40)
     for phases in (t.theta, t.phi):

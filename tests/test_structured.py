@@ -291,6 +291,19 @@ def test_cofactor_bounds_and_one_by_one():
         cofactor(identity(2), 2, 0)
 
 
+def test_cofactor_is_bitwise_the_delete_construction():
+    # the minor as two np.delete calls built it, wrapped with a copy; the
+    # cofactor must not change by one bit
+    for n in range(2, 7):
+        a = draw_dense(stream_generator(83, n), n, n)
+        for i in range(n):
+            for j in range(n):
+                minor = DenseMatrix(np.delete(np.delete(a.array, j, axis=0), i, axis=1))
+                expected = complex((-1.0 if (i + j) % 2 else 1.0) * det_lu(minor))
+                got = cofactor(a, i, j)
+                assert np.array([got]).view(np.uint64).tolist() == np.array([expected]).view(np.uint64).tolist(), (n, i, j)
+
+
 def test_adjugate_over_det_matches_lu_inverse():
     gen = stream_generator(89, 0)
     a = draw_well_conditioned(gen, 4, 4)
