@@ -117,13 +117,11 @@ class DenseMatrix:
     """Immutable row-major complex matrix with explicit dimensions.
 
     Construction copies the input, requires a 2-D shape with positive
-    dimensions, and rejects non-finite entries. The largest real or imaginary
-    magnitude of the entries is computed on first use and cached, since the
-    entries never change; rescale reads it to prove its output finite without
-    scanning it.
+    dimensions, and rejects non-finite entries. The only state is the
+    read-only complex128 array of the entries.
     """
 
-    __slots__ = ("_array", "_largest")
+    __slots__ = ("_array",)
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.complex128, order="C")
@@ -132,29 +130,20 @@ class DenseMatrix:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
         _require_finite(arr)
-        self._freeze(arr)
+        arr.flags.writeable = False
+        self._array = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, proven_finite: bool = False) -> DenseMatrix:
         """Trusted constructor for a fresh 2-D complex128 kernel output that no
         other reference can write to: no copy, and the finiteness scan unless
-        the kernel has proved every entry finite."""
+        the caller has proved every entry finite."""
         if not proven_finite:
             _require_finite(arr)
-        out = cls.__new__(cls)
-        out._freeze(arr)
-        return out
-
-    def _freeze(self, arr: np.ndarray):
         arr.flags.writeable = False
-        self._array = arr
-        self._largest = None
-
-    def _largest_component(self) -> float:
-        """_largest_part of the entries, computed once per matrix."""
-        if self._largest is None:
-            self._largest = _largest_part(self._array)
-        return self._largest
+        out = cls.__new__(cls)
+        out._array = arr
+        return out
 
     @property
     def array(self) -> np.ndarray:
@@ -319,27 +308,25 @@ def slogdet(a: np.ndarray) -> tuple[complex, float]:
 _RESCALE_SAFE = np.finfo(np.float64).max / 8
 
 
-def rescale(x: np.ndarray | DenseMatrix, row_phases: np.ndarray, col_phases: np.ndarray) -> DenseMatrix:
+def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
     """The one mask kernel: diag(e^(j*row_phases)) @ x @ diag(e^(j*col_phases)),
-    in O(mn) with a single m-by-n allocation.
+    in O(mn) with a single m-by-n allocation: x times the column factors,
+    then that product times the row factors in place.
 
     Masking by an angle matrix is exactly this diagonal scaling, so every
-    structured solve is a base solve followed by one call here. The output is
-    scanned for non-finite entries unless x is a DenseMatrix whose cached
-    largest component is at most _RESCALE_SAFE and both phase factors are
-    finite: then no entry can overflow, and the O(mn) scan is skipped. A
-    stored base (pseudo)inverse passed as a DenseMatrix pays for that bound
-    once; a bare array is scanned on every call.
+    structured solve is a base solve followed by one call here. The phases
+    are finite (AngleMatrix rejects others), so the factors have unit
+    modulus. Returns a fresh array, which may hold inf or nan where a product
+    overflows; the caller wraps it with DenseMatrix._wrap, which scans it
+    unless the caller knows the largest component of x is at most
+    _RESCALE_SAFE (engine.PrecomputedBase.bounded).
     """
-    bounded = isinstance(x, DenseMatrix) and x._largest_component() <= _RESCALE_SAFE
-    if isinstance(x, DenseMatrix):
-        x = x.array
-    with np.errstate(over="ignore", invalid="ignore"):  # the wrap reports overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller's wrap reports overflow
         col = np.exp(1j * col_phases)
         row = np.exp(1j * row_phases)
         out = x * col[None, :]
         out *= row[:, None]
-    return DenseMatrix._wrap(out, bounded and np.isfinite(col).all() and np.isfinite(row).all())
+    return out
 
 
 class LUFactorization:

@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .angle import AngleMatrix
 from .core import (
     DEFAULT_TOLERANCES,
@@ -41,17 +42,22 @@ class PrecomputedBase:
     """One-time factorization product reused across every phase update.
 
     base_pinv is the inverse for square sources and the pseudoinverse
-    otherwise. It is checked once, by precompute, and never recomputed: a
-    square inverse X of A passes a gate on its two relative residuals,
-    2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F) <= 10 n u, whose
-    ratio does not change with the scale of A; a tall or wide
-    pseudoinverse passes penrose_check. Its largest component, cached on the
-    DenseMatrix and warmed by precompute, proves every update finite without
-    a scan of the update (see core.rescale).
+    otherwise; precompute checks it once (see there) and it is never
+    recomputed. The other two fields are derived from it on construction:
+    shape is the source's shape, the transpose of base_pinv's, and bounded
+    records in one O(mn) pass whether base_pinv's largest real or imaginary
+    magnitude is at most core._RESCALE_SAFE. While it is, no masked entry
+    can overflow, so apply_update wraps each update without a finiteness
+    scan; a base above the bound is scanned on every update.
     """
 
-    shape: tuple[int, int]
     base_pinv: DenseMatrix
+    shape: tuple[int, int] = field(init=False)
+    bounded: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", self.base_pinv.shape[::-1])
+        object.__setattr__(self, "bounded", core._largest_part(self.base_pinv.array) <= core._RESCALE_SAFE)
 
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
@@ -64,7 +70,8 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     0.07 n u at n = 256 against the limit 10 n u; an X perturbed by a
     relative 1e-6 scores above 4e6 n u. A tall or wide base's pseudoinverse
     must pass penrose_check. A failure raises RuntimeError ("internal
-    consistency failure").
+    consistency failure"). The returned PrecomputedBase takes the update
+    bound (PrecomputedBase.bounded) on construction.
     """
     base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
     if a.rows == a.cols:
@@ -79,8 +86,7 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
             raise RuntimeError(
                 f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
             )
-    base_pinv._largest_component()  # one O(mn) pass here instead of a finiteness scan per update
-    return PrecomputedBase((a.rows, a.cols), base_pinv)
+    return PrecomputedBase(base_pinv)
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
@@ -89,11 +95,11 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
 
     Costs O(m+n) trigonometric evaluations (one per phase) plus O(mn) complex
     multiplications; performs no factorization, and no finiteness scan of the
-    result while the base's largest component is within rescale's bound.
+    result while the base is bounded (PrecomputedBase.bounded).
     """
     if t.shape != base.shape:
         raise ValueError(f"apply_update shape mismatch: base {base.shape} vs angle matrix {t.shape}")
-    return rescale(base.base_pinv, -t.phi, -t.theta)
+    return DenseMatrix._wrap(rescale(base.base_pinv.array, -t.phi, -t.theta), base.bounded)
 
 
 def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:

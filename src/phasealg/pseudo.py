@@ -146,4 +146,4 @@ def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     matrix is never formed."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    return rescale(checked_pinv(a.array), -t.phi, -t.theta)
+    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.phi, -t.theta))

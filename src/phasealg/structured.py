@@ -84,14 +84,14 @@ def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     the rows and e^(-j*theta) on the columns. Factors A exactly once; the
     masked matrix is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
-    return rescale(checked_pinv(a.array), -t.phi, -t.theta)
+    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.phi, -t.theta))
 
 
 def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of A masked by the transposed angle matrix: inverse(A) masked by
     the entrywise conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    return rescale(checked_pinv(a.array), -t.theta, -t.phi)
+    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.theta, -t.phi))
 
 
 def cofactor(a: DenseMatrix, i: int, j: int) -> complex:

@@ -53,48 +53,19 @@ def test_finiteness_scan_on_either_side_of_the_direct_scan_size(n):
         DenseMatrix(values)
 
 
-def test_rescale_rejects_overflow_from_rotation():
-    # finite entry whose modulus exceeds the float maximum: a pi/4 rotation
-    # moves it all onto one axis, which overflows
-    x = np.array([[1.5e308 + 1.5e308j]])
-    with pytest.raises(ValueError, match="non-finite"):
-        rescale(x, np.array([np.pi / 4]), np.array([0.0]))
-
-
-def test_rescale_of_dense_matrix_above_the_bound_still_scans():
-    x = DenseMatrix([[1.5e308 + 1.5e308j]])
-    assert x._largest_component() > _RESCALE_SAFE
-    with pytest.raises(ValueError, match="non-finite"):
-        rescale(x, np.array([np.pi / 4]), np.array([0.0]))
-
-
-def test_rescale_of_dense_matrix_scans_non_finite_phase_factors():
-    x = DenseMatrix([[1.0, 2.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        rescale(x, np.array([0.0]), np.array([np.inf, 0.0]))
-
-
 def test_rescale_at_the_bound_stays_finite_under_the_worst_rotation():
     # both parts of each entry sit on the bound; a pi/4 factor turns an entry
     # onto one axis, sqrt(2) times the bound
     b = _RESCALE_SAFE
-    x = DenseMatrix([[b + b * 1j, -b + b * 1j], [b - b * 1j, -b - b * 1j]])
+    x = np.array([[b + b * 1j, -b + b * 1j], [b - b * 1j, -b - b * 1j]])
+    assert core._largest_part(x) == _RESCALE_SAFE
     phases = np.array([np.pi / 4, -np.pi / 4])
-    out = rescale(x, phases, phases)
-    assert np.isfinite(out.array).all()
-    assert np.array_equal(out.array, rescale(x.array, phases, phases).array)
+    assert np.isfinite(rescale(x, phases, phases)).all()
 
 
-def test_dense_matrix_largest_component_is_computed_once(monkeypatch):
-    calls = []
-    largest_part = core._largest_part
-    monkeypatch.setattr(core, "_largest_part", lambda arr: calls.append(1) or largest_part(arr))
-    x = DenseMatrix([[1.0 - 3.0j, -2.0]])
-    assert x._largest_component() == 3.0
-    assert x._largest_component() == 3.0
-    assert len(calls) == 1
+def test_largest_part_reads_strided_arrays():
     strided = np.asfortranarray([[1.0 - 3.0j, 0.5], [-2.0, 4.0j]])[:, ::-1]
-    assert largest_part(strided) == 4.0 and largest_part(strided.T) == 4.0
+    assert core._largest_part(strided) == 4.0 and core._largest_part(strided.T) == 4.0
 
 
 def test_rescale_is_diagonal_scaling():
@@ -104,9 +75,19 @@ def test_rescale_is_diagonal_scaling():
     beta = gen.uniform(0, 2 * np.pi, 4)
     expected = np.diag(np.exp(1j * alpha)) @ x @ np.diag(np.exp(1j * beta))
     out = rescale(x, alpha, beta)
-    assert isinstance(out, DenseMatrix) and not out.array.flags.writeable
-    assert np.abs(out.array - expected).max() <= 1e-15 * np.abs(x).max()
-    assert np.array_equal(rescale(DenseMatrix(x), alpha, beta).array, out.array)
+    assert type(out) is np.ndarray and out.dtype == np.complex128 and out.shape == (3, 4)
+    assert out.flags.writeable and not np.shares_memory(out, x)
+    assert np.abs(out - expected).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (6, 3), (3, 6)])
+def test_rescale_multiplies_columns_then_rows_bit_for_bit(shape):
+    gen = stream_generator(11, 0)
+    x = draw_dense(gen, *shape).array
+    a = gen.uniform(-1e3, 1e3, shape[0])
+    b = gen.uniform(-1e3, 1e3, shape[1])
+    expected = (x * np.exp(1j * b)[None, :]) * np.exp(1j * a)[:, None]
+    assert np.array_equal(rescale(x, a, b).view(np.uint64), expected.view(np.uint64))
 
 
 def test_dense_matrix_rejects_bad_shapes():

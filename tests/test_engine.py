@@ -13,16 +13,19 @@ from phasealg import (
     hadamard_product,
     identity,
     inverse_lu,
+    inverse_structured,
+    inverse_structured_transposed,
     lu_factorization_count,
     naive_update,
     penrose_check,
+    pinv_structured,
     precompute,
     run_benchmark,
 )
 from phasealg import core, engine
-from phasealg.core import _RESCALE_SAFE, rescale
+from phasealg.core import _RESCALE_SAFE, checked_pinv, rescale
 from phasealg.engine import PrecomputedBase, _update_angles
-from phasealg.generate import draw_angle, draw_well_conditioned, stream_generator
+from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
 from test_structured import _graded
 
 
@@ -172,19 +175,49 @@ def test_apply_update_without_the_scan_is_finite_and_unchanged(seed, share, thet
     m, n = t.shape
     x = draw_well_conditioned(stream_generator(seed, 0), n, m).array
     largest = max(np.abs(x.real).max(), np.abs(x.imag).max())
-    base = PrecomputedBase((m, n), DenseMatrix(x / largest * _RESCALE_SAFE * share))
-    assert base.base_pinv._largest_component() <= _RESCALE_SAFE
+    base = PrecomputedBase(DenseMatrix(x / largest * _RESCALE_SAFE * share))
+    assert base.bounded
     out = apply_update(base, t)
     assert np.isfinite(out.array).all()
-    assert np.array_equal(out.array, rescale(base.base_pinv.array, -t.phi, -t.theta).array)
+    assert np.array_equal(out.array, rescale(base.base_pinv.array, -t.phi, -t.theta))
 
 
 def test_apply_update_still_rejects_an_overflowing_base():
     # a directly built base above the bound keeps the scan: a pi/4 rotation
     # moves the entry onto one axis, which overflows
-    base = PrecomputedBase((1, 1), DenseMatrix([[1.5e308 + 1.5e308j]]))
+    base = PrecomputedBase(DenseMatrix([[1.5e308 + 1.5e308j]]))
+    assert not base.bounded
     with pytest.raises(ValueError, match="non-finite"):
         apply_update(base, AngleMatrix(theta=[np.pi / 4], phi=[0.0]))
+
+
+def test_precomputed_base_derives_shape_and_bound(monkeypatch):
+    pinv = draw_dense(stream_generator(173, 0), 3, 2).array  # the pseudoinverse of a 2x3 base
+    scale = _RESCALE_SAFE / core._largest_part(pinv)
+    at_bound = PrecomputedBase(DenseMatrix(pinv * scale))
+    above = PrecomputedBase(DenseMatrix(pinv * np.nextafter(scale, np.inf)))
+    assert at_bound.shape == above.shape == (2, 3)
+    assert at_bound.bounded and not above.bounded
+    scans = []
+    require_finite = core._require_finite
+    monkeypatch.setattr(core, "_require_finite", lambda arr: scans.append(arr.shape) or require_finite(arr))
+    t = draw_angle(stream_generator(173, 1), 2, 3)
+    apply_update(at_bound, t)
+    assert scans == []
+    apply_update(above, t)
+    assert scans == [(3, 2)]
+
+
+def test_masked_inverse_that_overflows_is_rejected_on_every_route():
+    # inv(a) = 1.515e308 * (1 + 1j) has finite parts; the mask's pi/4 turn
+    # puts its whole modulus on the imaginary axis, beyond float64
+    a = DenseMatrix([[3.3e-309 * (1 - 1j)]])
+    t = AngleMatrix([0.0], [-np.pi / 4])
+    assert np.isfinite(checked_pinv(a.array)).all()
+    for route in (inverse_structured, inverse_structured_transposed, pinv_structured,
+                  lambda a, t: apply_update(precompute(a), t)):
+        with pytest.raises(ValueError, match="non-finite"):
+            route(a, t)
 
 
 def test_apply_update_bounds_the_base_once(monkeypatch):
