@@ -14,12 +14,14 @@ from .angle import (
     hadamard_inverse_transpose,
 )
 from .core import (
-    DEFAULT_TOLERANCES,
+    CONDITION_CAP,
+    ENTRY_EPS,
+    RANK_EPS,
+    RESIDUAL_EPS,
     DenseMatrix,
     DeterminantRangeError,
     LUFactorization,
     SingularMatrixError,
-    ToleranceConfig,
     conjugate_transpose,
     det_lu,
     frobenius_norm,

@@ -72,7 +72,7 @@ class AngleMatrix:
             dense = np.exp(1j * (self.theta[:, None] + self.phi[None, :]))
         try:
             return DenseMatrix._wrap(dense)
-        except ValueError:
+        except OverflowError:
             return DenseMatrix._wrap(np.exp(1j * self.theta)[:, None] * np.exp(1j * self.phi)[None, :])
 
     def hermitian(self) -> AngleMatrix:

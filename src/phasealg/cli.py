@@ -1,14 +1,14 @@
 """Command-line surface: gen | det | inv | pinv | verify | bench.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file-format error,
-3 numerical error (singular or rank-deficient input, or a determinant whose
-modulus is outside the float64 range).
+3 numerical error (singular or rank-deficient input, a result that
+overflows float64, or a determinant whose modulus is outside the float64
+range).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 import time
@@ -17,9 +17,11 @@ import numpy as np
 
 from .angle import AngleMatrix
 from .core import (
-    DEFAULT_TOLERANCES,
+    CONDITION_CAP,
+    ENTRY_EPS,
+    RANK_EPS,
+    RESIDUAL_EPS,
     DenseMatrix,
-    DeterminantRangeError,
     SingularMatrixError,
     det_lu,
     hadamard_product,
@@ -129,7 +131,8 @@ def _cmd_verify(args, argv):
         "command": list(argv),
         "seed": args.seed,
         "trials": args.trials,
-        "tolerances": dataclasses.asdict(DEFAULT_TOLERANCES),
+        "tolerances": {"entry_eps": ENTRY_EPS, "residual_eps": RESIDUAL_EPS,
+                       "rank_eps": RANK_EPS, "condition_cap": CONDITION_CAP},
         "suites": results["suites"],
         "passed": results["passed"],
         "wall_time_s": round(time.perf_counter() - started, 6),
@@ -224,7 +227,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args, argv)
-    except (SingularMatrixError, DeterminantRangeError, RuntimeError) as err:
+    except (SingularMatrixError, ArithmeticError, RuntimeError) as err:
         # must precede the ValueError clause: SingularMatrixError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -5,13 +5,13 @@ oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOLERANCES",
+    "ENTRY_EPS",
+    "RESIDUAL_EPS",
+    "RANK_EPS",
+    "CONDITION_CAP",
     "SingularMatrixError",
     "DeterminantRangeError",
     "DenseMatrix",
@@ -32,30 +32,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical thresholds shared across the library.
-
-    entry_eps gates per-entry comparisons (including the zero-entry test for
-    Hadamard reciprocals), residual_eps gates Frobenius-norm residuals,
-    rank_eps bounds the reciprocal Frobenius condition number on the production
-    route and scales the pivot test of the LU oracle, and condition_cap
-    filters randomly generated test instances only.
-    """
-
-    entry_eps: float = 1e-12
-    residual_eps: float = 1e-8
-    rank_eps: float = 1e-10
-    condition_cap: float = 1e6
-
-    def __post_init__(self):
-        for name in ("entry_eps", "residual_eps", "rank_eps", "condition_cap"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# The library's four fixed thresholds, echoed in every verify report:
+# ENTRY_EPS gates per-entry comparisons (including the zero-entry test for
+# Hadamard reciprocals), RESIDUAL_EPS gates Frobenius-norm residuals,
+# RANK_EPS bounds the reciprocal Frobenius condition number on the
+# production route and scales the pivot test of the LU oracle, and
+# CONDITION_CAP filters randomly generated test instances only.
+ENTRY_EPS = 1e-12
+RESIDUAL_EPS = 1e-8
+RANK_EPS = 1e-10
+CONDITION_CAP = 1e6
 
 
 class SingularMatrixError(ValueError):
@@ -137,9 +123,15 @@ class DenseMatrix:
     def _wrap(cls, arr: np.ndarray, proven_finite: bool = False) -> DenseMatrix:
         """Trusted constructor for a fresh 2-D complex128 kernel output that no
         other reference can write to: no copy, and the finiteness scan unless
-        the caller has proved every entry finite."""
+        the caller has proved every entry finite. A kernel computes from
+        finite entries, so a non-finite output entry is an overflow and
+        raises OverflowError, where DenseMatrix() of bad input raises
+        ValueError."""
         if not proven_finite:
-            _require_finite(arr)
+            try:
+                _require_finite(arr)
+            except ValueError as err:
+                raise OverflowError(f"result overflows float64: {err}") from None
         arr.flags.writeable = False
         out = cls.__new__(cls)
         out._array = arr
@@ -227,11 +219,10 @@ def hadamard_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 def hadamard_inverse(a: DenseMatrix) -> DenseMatrix:
     """Entrywise reciprocal; requires every entry nonzero."""
-    eps = DEFAULT_TOLERANCES.entry_eps
-    small = np.abs(a.array) <= eps
+    small = np.abs(a.array) <= ENTRY_EPS
     if small.any():
         bad = divmod(int(np.argmax(small)), a.cols)  # row-major index of the first small entry
-        raise ValueError(f"entry at {bad} is zero (|.| <= {eps}); entrywise reciprocal undefined")
+        raise ValueError(f"entry at {bad} is zero (|.| <= {ENTRY_EPS}); entrywise reciprocal undefined")
     return DenseMatrix._wrap(1.0 / a.array)
 
 
@@ -256,7 +247,7 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
     inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide. The one system S
     inverted is rejected as singular when its reciprocal Frobenius condition
-    1 / (||S||_F * ||S^-1||_F) is at most rank_eps, with the product of the two
+    1 / (||S||_F * ||S^-1||_F) is at most RANK_EPS, with the product of the two
     norms taken at any scale (_norm_product). Only when LAPACK's inverse is
     not finite, as inside inv(1e-308 * S) for a well-conditioned S, is S^-1
     taken again as inv(S / s) / s with s = _largest_part(S), on float64
@@ -270,21 +261,20 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     else:
         adjoint = a.conj().T
         system = adjoint @ a if m > n else a @ adjoint
-    threshold = DEFAULT_TOLERANCES.rank_eps
     try:
         inv = np.linalg.inv(system)
         reciprocal_condition = 1.0 / _norm_product(system, inv)
-        if not reciprocal_condition > threshold and not np.isfinite(inv).all():
+        if not reciprocal_condition > RANK_EPS and not np.isfinite(inv).all():
             scale = _largest_part(system)
             with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
                 inv = _divide_parts(np.linalg.inv(_divide_parts(system, scale)), scale)
             reciprocal_condition = 1.0 / _norm_product(system, inv)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    if not reciprocal_condition > threshold:  # also rejects nan from non-finite inverse entries
+    if not reciprocal_condition > RANK_EPS:  # also rejects nan from non-finite inverse entries
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
-            f"{reciprocal_condition:.3e} <= threshold {threshold:.3e}",
+            f"{reciprocal_condition:.3e} <= threshold {RANK_EPS:.3e}",
             pivot=reciprocal_condition,
         )
     if m == n:
@@ -336,8 +326,9 @@ class LUFactorization:
     below it the strict lower part of the unit lower-triangular L. Row i of
     P A is row `permutation[i]` of A, and `parity` is the sign of P. Pivots
     are chosen by largest modulus, ties broken by lowest row index.
-    Singularity is decided at solve time by the pivot test
-    |u_ii| <= rank_eps * ||A||_F, never by determinant magnitude.
+    Singularity is decided at solve time by one pivot test for every
+    factored system, Gram systems included: |u_ii| <= RANK_EPS * ||A||_F,
+    never by determinant magnitude.
     `source_norm` is ||A||_F, computed the first time a pivot test needs it
     (or on first read) and cached; a determinant alone never pays for it.
     """
@@ -361,8 +352,8 @@ class LUFactorization:
     def det(self) -> complex:
         return complex(self.parity * self.packed.diagonal().prod())
 
-    def _check_pivots(self, pivot_floor: float | None = None):
-        floor = DEFAULT_TOLERANCES.rank_eps * self.source_norm if pivot_floor is None else pivot_floor
+    def _check_pivots(self):
+        floor = RANK_EPS * self.source_norm
         worst = float(np.abs(self.packed.diagonal()).min())
         if worst <= floor:
             raise SingularMatrixError(
@@ -370,13 +361,13 @@ class LUFactorization:
                 pivot=worst,
             )
 
-    def solve(self, rhs: np.ndarray, pivot_floor: float | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A X = rhs by forward/back substitution over all columns at
         once, in place on one permuted copy of rhs."""
         n = self.packed.shape[0]
         if rhs.shape[0] != n:
             raise ValueError(f"solve dimension mismatch: factor is {n}x{n}, rhs has {rhs.shape[0]} rows")
-        self._check_pivots(pivot_floor)
+        self._check_pivots()
         x = np.asarray(rhs, dtype=np.complex128)[self.permutation]
         lu = self.packed
         for i in range(1, n):  # row 0 of L Y = P rhs is row 0 of P rhs
@@ -386,8 +377,8 @@ class LUFactorization:
             x[i] /= lu[i, i]
         return x
 
-    def inverse(self, pivot_floor: float | None = None) -> DenseMatrix:
-        return DenseMatrix._wrap(self.solve(np.eye(self.packed.shape[0], dtype=np.complex128), pivot_floor))
+    def inverse(self) -> DenseMatrix:
+        return DenseMatrix._wrap(self.solve(np.eye(self.packed.shape[0], dtype=np.complex128)))
 
 
 def lu_factorize(a: DenseMatrix) -> LUFactorization:

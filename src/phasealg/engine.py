@@ -14,7 +14,7 @@ import numpy as np
 from . import core
 from .angle import AngleMatrix
 from .core import (
-    DEFAULT_TOLERANCES,
+    RESIDUAL_EPS,
     DenseMatrix,
     SingularMatrixError,
     checked_pinv,
@@ -147,7 +147,7 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int) -> BenchRecord:
     paths run single-threaded over the same update stream; per-update times
     are medians over the monotonic clock, excluding the warm-up update.
     A sample of at least max(1, updates // 100) updates is cross-checked
-    against the naive path; a residual above residual_eps * max(rows, cols)
+    against the naive path; a residual above RESIDUAL_EPS * max(rows, cols)
     fails the run regardless of timing.
     """
     if updates < 1:
@@ -186,7 +186,7 @@ def run_benchmark(rows: int, cols: int, updates: int, seed: int) -> BenchRecord:
             residual = max(residual, float(identity_residual))
         max_residual = max(max_residual, residual)
 
-    limit = DEFAULT_TOLERANCES.residual_eps * max(rows, cols)
+    limit = RESIDUAL_EPS * max(rows, cols)
     if max_residual > limit:
         raise RuntimeError(
             f"benchmark cross-check failed: residual {max_residual:.3e} > {limit:.3e} at {rows}x{cols}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DenseMatrix, SingularMatrixError, checked_pinv, frobenius_norm
+from .core import CONDITION_CAP, DenseMatrix, SingularMatrixError, checked_pinv, frobenius_norm
 from .angle import AngleMatrix
 
 __all__ = [
@@ -73,13 +73,12 @@ def condition_proxy(a: DenseMatrix) -> float:
 
 def draw_well_conditioned(gen: np.random.Generator, rows: int, cols: int) -> DenseMatrix:
     """Standard-normal complex matrix, redrawn until the condition proxy is
-    within condition_cap. Redraws continue the same stream, so the result
+    within CONDITION_CAP. Redraws continue the same stream, so the result
     is still a pure function of the generator state."""
-    cap = DEFAULT_TOLERANCES.condition_cap
     for _ in range(MAX_DRAW_ATTEMPTS):
         candidate = draw_dense(gen, rows, cols)
-        if condition_proxy(candidate) <= cap:
+        if condition_proxy(candidate) <= CONDITION_CAP:
             return candidate
     raise RuntimeError(
-        f"no {rows}x{cols} instance within condition cap {cap:g} after {MAX_DRAW_ATTEMPTS} draws"
+        f"no {rows}x{cols} instance within condition cap {CONDITION_CAP:g} after {MAX_DRAW_ATTEMPTS} draws"
     )

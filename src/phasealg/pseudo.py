@@ -16,7 +16,7 @@ import numpy as np
 
 from .angle import AngleMatrix, gram
 from .core import (
-    DEFAULT_TOLERANCES,
+    RESIDUAL_EPS,
     DenseMatrix,
     _norm_product,
     checked_pinv,
@@ -40,7 +40,7 @@ class PenroseReport:
 
     r1 = ||A X A - A||_F, r2 = ||X A X - X||_F, r3 and r4 are the Hermitian
     defects of A X and X A. Passes when all four are within
-    residual_eps * (1 + ||A||_F).
+    RESIDUAL_EPS * (1 + ||A||_F).
     """
 
     r1: float
@@ -66,7 +66,7 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
     r2 = float(np.linalg.norm(xa @ xx - xx))
     r3 = float(np.linalg.norm(ax.conj().T - ax))
     r4 = float(np.linalg.norm(xa.conj().T - xa))
-    limit = DEFAULT_TOLERANCES.residual_eps * (1.0 + frobenius_norm(a))
+    limit = RESIDUAL_EPS * (1.0 + frobenius_norm(a))
     return PenroseReport(r1, r2, r3, r4, limit, max(r1, r2, r3, r4) <= limit)
 
 
@@ -91,7 +91,7 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     (core._norm_product), so the ratio does not change under A -> sA,
     X -> X / s. The candidate passes when ratio <= limit; a nan ratio fails.
     The denominator is finite for every x that checked_pinv returns, whose
-    ||A||_F ||X||_F is below 1 / rank_eps.
+    ||A||_F ||X||_F is below 1 / RANK_EPS.
     """
     n = a.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
@@ -108,22 +108,20 @@ def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
     """Pseudoinverse of a full-rank matrix via its smaller Gram system.
 
     Tall matrices solve (A^H A) X = A^H; wide ones form A^H (A A^H)^(-1);
-    square ones invert directly. The Gram pivot test uses the threshold
-    rank_eps * ||A||_F^2, and a failure means rank-deficient input.
+    square ones invert directly. The Gram system G takes the LU oracle's one
+    pivot test, |u_ii| <= RANK_EPS * ||G||_F, with the norm checked_pinv's
+    Gram test uses too; a failure means rank-deficient input.
     Conditioning of the Gram system is squared relative to A; acceptable here
     because generated instances are condition-capped.
     """
     arr = a.array
     if a.rows == a.cols:
         return lu_factorize(a).inverse()
-    floor = DEFAULT_TOLERANCES.rank_eps * float(np.linalg.norm(arr)) ** 2
     if a.rows > a.cols:
         gram_mat = DenseMatrix._wrap(arr.conj().T @ arr)
-        solved = lu_factorize(gram_mat).solve(arr.conj().T, pivot_floor=floor)
-        return DenseMatrix._wrap(solved)
+        return DenseMatrix._wrap(lu_factorize(gram_mat).solve(arr.conj().T))
     gram_mat = DenseMatrix._wrap(arr @ arr.conj().T)
-    gram_inv = lu_factorize(gram_mat).inverse(pivot_floor=floor)
-    return DenseMatrix._wrap(arr.conj().T @ gram_inv.array)
+    return DenseMatrix._wrap(arr.conj().T @ lu_factorize(gram_mat).inverse().array)
 
 
 def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .angle import gram, hadamard_inverse_transpose
 from .core import (
-    DEFAULT_TOLERANCES,
+    ENTRY_EPS,
     det_lu,
     frobenius_norm,
     hadamard_product,
@@ -80,9 +80,8 @@ def _suite_lemma1(trials: int, seed: int) -> list[dict]:
         dense = mask.materialize().array
         herm = mask.hermitian().materialize().array
         checks.add("hermitian_duality", _max_abs(hadamard_inverse_transpose(mask).array - herm), DUALITY_LIMIT)
-        checks.add("hermitian_involution", _max_abs(mask.hermitian().hermitian().materialize().array - dense),
-                   DEFAULT_TOLERANCES.entry_eps)
-        checks.add("unit_modulus", _max_abs(np.abs(dense) - 1.0), DEFAULT_TOLERANCES.entry_eps)
+        checks.add("hermitian_involution", _max_abs(mask.hermitian().hermitian().materialize().array - dense), ENTRY_EPS)
+        checks.add("unit_modulus", _max_abs(np.abs(dense) - 1.0), ENTRY_EPS)
         if m >= 2 and n >= 2:
             outer = dense[:, None, :, None] * dense[None, :, None, :]
             checks.add("rank_one_minors", _max_abs(outer - outer.transpose(0, 1, 3, 2)), MINOR_LIMIT)

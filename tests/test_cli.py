@@ -137,6 +137,20 @@ def test_det_outside_float_range_exits_3(tmp_path, capsys):
     assert "float64 range" in captured.err
 
 
+def test_masked_result_that_overflows_exits_3(tmp_path, capsys):
+    # inv(a) = 1.515e308 * (1 + 1j) has finite parts; the mask's pi/4 turn
+    # puts its whole modulus on the imaginary axis, beyond float64
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    write_matrix(a_path, DenseMatrix([[3.3e-309 * (1 - 1j)]]))
+    write_matrix(t_path, AngleMatrix(theta=[0.0], phi=[-np.pi / 4]))
+    for command in ("inv", "pinv"):
+        out_path = tmp_path / f"{command}.json"
+        assert run_cli(command, "--matrix", str(a_path), "--angle", str(t_path), "--out", str(out_path)) == 3
+        assert capsys.readouterr().err == "error: result overflows float64: non-finite entry at (0, 0)\n"
+        assert not out_path.exists()
+
+
 def test_dense_file_where_angle_expected_exits_2(tmp_path, capsys):
     a_path, _ = write_identity_pair(tmp_path)
     assert run_cli("det", "--matrix", a_path, "--angle", a_path) == 2
@@ -207,7 +221,7 @@ def test_verify_single_suite(tmp_path):
     assert report["schema_version"] == 1
     assert report["seed"] == 7
     assert [s["suite"] for s in report["suites"]] == ["lemma1"]
-    assert report["tolerances"]["residual_eps"] == 1e-8
+    assert report["tolerances"] == {"condition_cap": 1e6, "entry_eps": 1e-12, "rank_eps": 1e-10, "residual_eps": 1e-8}
 
 
 def test_verify_all_covers_every_suite(tmp_path):

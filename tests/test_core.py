@@ -11,10 +11,11 @@ from hypothesis.extra.numpy import arrays
 
 import phasealg
 from phasealg import (
-    DEFAULT_TOLERANCES,
+    ENTRY_EPS,
+    RANK_EPS,
+    RESIDUAL_EPS,
     DenseMatrix,
     SingularMatrixError,
-    ToleranceConfig,
     conjugate_transpose,
     det_lu,
     frobenius_norm,
@@ -104,13 +105,6 @@ def test_dense_matrix_is_immutable():
         a.array[0, 0] = 5.0
 
 
-def test_tolerance_config_rejects_non_positive():
-    with pytest.raises(ValueError, match="entry_eps"):
-        ToleranceConfig(entry_eps=0.0)
-    with pytest.raises(ValueError, match="condition_cap"):
-        ToleranceConfig(condition_cap=-1.0)
-
-
 def test_hadamard_product_identity_and_zero_cases():
     a = DenseMatrix([[1 + 2j, -3, 0.5], [2j, 7, -1j]])
     assert np.array_equal(hadamard_product(a, DenseMatrix(np.ones((2, 3)))).array, a.array)
@@ -146,7 +140,7 @@ def test_hadamard_inverse_round_trip():
     for _ in range(20):
         a = draw_dense(gen, 4, 5)
         product = hadamard_product(a, hadamard_inverse(a))
-        assert np.abs(product.array - 1.0).max() <= DEFAULT_TOLERANCES.entry_eps
+        assert np.abs(product.array - 1.0).max() <= ENTRY_EPS
 
 
 def test_dense_algebra_basics():
@@ -184,7 +178,7 @@ def test_hadamard_square_matches_self_product(a):
     m = DenseMatrix(a)
     squared = a ** 2
     product = hadamard_product(m, m).array
-    assert np.abs(squared - product).max() <= DEFAULT_TOLERANCES.entry_eps * np.abs(product).max()
+    assert np.abs(squared - product).max() <= ENTRY_EPS * np.abs(product).max()
 
 
 def test_hadamard_square_absolute_at_unit_scale():
@@ -192,7 +186,7 @@ def test_hadamard_square_absolute_at_unit_scale():
     for _ in range(20):
         a = draw_dense(gen, 5, 3)
         deviation = np.abs(a.array ** 2 - hadamard_product(a, a).array).max()
-        assert deviation <= DEFAULT_TOLERANCES.entry_eps
+        assert deviation <= ENTRY_EPS
 
 
 def test_lu_determinant_identity_and_parity():
@@ -232,9 +226,9 @@ def test_lu_factorization_residual_and_inverse():
         f = lu_factorize(a)
         lower, upper = _unpacked(f)
         p = np.eye(n)[f.permutation]
-        assert np.linalg.norm(p @ a.array - lower @ upper) <= DEFAULT_TOLERANCES.residual_eps * f.source_norm
+        assert np.linalg.norm(p @ a.array - lower @ upper) <= RESIDUAL_EPS * f.source_norm
         residual = np.linalg.norm(a.array @ f.inverse().array - np.eye(n))
-        assert residual <= DEFAULT_TOLERANCES.residual_eps
+        assert residual <= RESIDUAL_EPS
 
 
 def _lu_contract_cases():
@@ -261,7 +255,7 @@ def test_packed_lu_contract():
         assert f.packed.shape == (n, n) and not f.packed.flags.writeable
         assert f.det() == complex(f.parity * np.prod(np.diag(upper)))
         p = np.eye(n)[f.permutation]
-        assert np.linalg.norm(p @ a.array - lower @ upper) <= DEFAULT_TOLERANCES.residual_eps * f.source_norm
+        assert np.linalg.norm(p @ a.array - lower @ upper) <= RESIDUAL_EPS * f.source_norm
 
 
 def test_packed_lu_inverse_on_pivoting_cases():
@@ -270,9 +264,9 @@ def test_packed_lu_inverse_on_pivoting_cases():
         try:
             x = inverse_lu(a)
         except SingularMatrixError:
-            assert np.abs(np.diag(lu_factorize(a).packed)).min() <= DEFAULT_TOLERANCES.rank_eps * frobenius_norm(a)
+            assert np.abs(np.diag(lu_factorize(a).packed)).min() <= RANK_EPS * frobenius_norm(a)
             continue
-        assert np.linalg.norm(a.array @ x.array - np.eye(n)) <= DEFAULT_TOLERANCES.residual_eps
+        assert np.linalg.norm(a.array @ x.array - np.eye(n)) <= RESIDUAL_EPS
 
 
 def test_lu_determinant_is_multiplicative():
@@ -378,7 +372,7 @@ def test_lu_solve_is_bitwise_the_reference_substitution(n):
 
 def test_lu_pivot_test_raises_at_the_same_floor():
     # ||diag(1, d)||_F rounds to 1 for d = 1e-10, so the floor rank_eps * ||A||_F is d itself
-    floor = DEFAULT_TOLERANCES.rank_eps
+    floor = RANK_EPS
     at_floor = lu_factorize(DenseMatrix(np.diag([1.0, floor])))
     assert at_floor.source_norm == 1.0
     with pytest.raises(SingularMatrixError, match=f"pivot {floor:.3e} <= threshold {floor:.3e}") as excinfo:

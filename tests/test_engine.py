@@ -187,7 +187,7 @@ def test_apply_update_still_rejects_an_overflowing_base():
     # moves the entry onto one axis, which overflows
     base = PrecomputedBase(DenseMatrix([[1.5e308 + 1.5e308j]]))
     assert not base.bounded
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(OverflowError, match="overflows float64: non-finite"):
         apply_update(base, AngleMatrix(theta=[np.pi / 4], phi=[0.0]))
 
 
@@ -216,7 +216,7 @@ def test_masked_inverse_that_overflows_is_rejected_on_every_route():
     assert np.isfinite(checked_pinv(a.array)).all()
     for route in (inverse_structured, inverse_structured_transposed, pinv_structured,
                   lambda a, t: apply_update(precompute(a), t)):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(OverflowError, match="overflows float64: non-finite"):
             route(a, t)
 
 

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from phasealg import DEFAULT_TOLERANCES, DenseMatrix, frobenius_norm, identity, inverse_lu, pinv_full_rank
+from phasealg import CONDITION_CAP, DenseMatrix, frobenius_norm, identity, inverse_lu, pinv_full_rank
 from phasealg.generate import (
     MAX_SEED,
     condition_proxy,
@@ -102,10 +102,9 @@ def _hand_lu_proxy(a: DenseMatrix) -> float:
 
 
 def test_accepted_draws_pass_the_hand_lu_proxy():
-    cap = DEFAULT_TOLERANCES.condition_cap
     for seed in range(30):
         gen = stream_generator(seed, 0)
         n = int(gen.integers(1, 25))
         for rows, cols in ((n, n), (n + 1 + seed % 4, n), (n, n + 1 + seed % 4)):
             a = draw_well_conditioned(gen, rows, cols)
-            assert _hand_lu_proxy(a) <= cap, (seed, rows, cols)
+            assert _hand_lu_proxy(a) <= CONDITION_CAP, (seed, rows, cols)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasealg import (
-    DEFAULT_TOLERANCES,
+    ENTRY_EPS,
     AngleMatrix,
     DenseMatrix,
     DeterminantRangeError,
@@ -249,7 +249,7 @@ def test_det_with_overflowing_phase_sum_stays_finite():
     for base, mask in ((one, huge), (a, t)):
         dense = mask.materialize().array
         assert np.isfinite(dense).all()
-        assert np.abs(np.abs(dense) - 1.0).max() <= DEFAULT_TOLERANCES.entry_eps
+        assert np.abs(np.abs(dense) - 1.0).max() <= ENTRY_EPS
         oracle = inverse_adjugate_structured(base, mask).array
         assert np.abs(oracle - inverse_structured(base, mask).array).max() <= ADJUGATE_LIMIT
 

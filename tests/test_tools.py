@@ -7,6 +7,8 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as _handle:
+    END_TO_END = json.load(_handle)["end_to_end"]
 
 
 @pytest.fixture
@@ -23,8 +25,7 @@ def _stub(monkeypatch, module, calls, correct=True):
         calls.append((workload, side, seconds))
         value = 1.0 + len(calls)
         return {"correct": correct, "attempted": 10, "failed": 0,
-                "metrics": {"latency_p50_ms": {"value": value, "unit": "ms"},
-                            "setup_s": {"value": value / 100, "unit": "s"}}}
+                "metrics": {spec["name"]: {"value": value, "unit": spec["unit"]} for spec in END_TO_END}}
 
     monkeypatch.setattr(module, "extract", lambda rev, dest: f"{rev}-commit")
     monkeypatch.setattr(module, "run_workload", run_workload)
@@ -53,13 +54,37 @@ def test_bench_compare_writes_sorted_keys_and_alternates_sides(bench_compare, mo
     assert (payload["seed"], payload["seconds"], payload["pairs"]) == (7, run_seconds, 10)
     assert payload["baseline"] == [{"function": "numpy.linalg.inv"}]
     sides = payload["workloads"]["update-stream"]
-    assert sorted(sides) == ["change", "parent"]
+    assert sorted(sides) == ["change", "claim", "parent"]
     parent = sides["parent"]
     assert sorted(parent) == ["attempted", "correct", "failed", "metrics"]
     p50 = parent["metrics"]["latency_p50_ms"]
     assert sorted(p50) == ["median", "q1", "q3", "unit", "values"]
     assert p50["values"] == [2.0, 5.0, 6.0, 9.0, 10.0, 13.0, 14.0, 17.0, 18.0, 21.0] and p50["unit"] == "ms"
     assert p50["q1"] <= p50["median"] == 11.5 <= p50["q3"]
+
+
+def test_bench_compare_counts_pairs_won_and_the_parent_spread(bench_compare, monkeypatch, tmp_path):
+    # pair k holds run k of each side; pair 8 is a tie and pair 9 a loss for a lower-is-better metric
+    parent = [10.0, 11.0, 10.0, 12.0, 10.0, 11.0, 10.0, 12.0, 10.0, 11.0]
+    change = [9.0] * 8 + [10.0, 12.0]
+    runs = {"parent": iter(parent), "change": iter(change)}
+
+    def run_workload(checkout, workload, seed, seconds):
+        value = next(runs[os.path.basename(checkout)])
+        metrics = {spec["name"]: {"value": 1.0, "unit": spec["unit"]} for spec in END_TO_END}
+        metrics["latency_p50_ms"]["value"] = metrics["throughput_per_s"]["value"] = value
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    _stub(monkeypatch, bench_compare, [])
+    monkeypatch.setattr(bench_compare, "run_workload", run_workload)
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main(["--parent", "P", "--out", str(out), "--workload", "update-stream"]) == 0
+    claim = json.loads(out.read_text(encoding="utf-8"))["workloads"]["update-stream"]["claim"]
+    assert sorted(claim) == sorted(spec["name"] for spec in END_TO_END)
+    # the parent's quartiles are 10 and 11; the medians are 10.5 and 9
+    assert claim["latency_p50_ms"] == {"better": "lower", "pairs_won": 8, "beyond_parent_spread": True}
+    assert claim["throughput_per_s"] == {"better": "higher", "pairs_won": 1, "beyond_parent_spread": True}
+    assert claim["peak_rss_mb"] == {"better": "lower", "pairs_won": 0, "beyond_parent_spread": False}
 
 
 def test_bench_compare_exits_1_on_an_incorrect_run(bench_compare, monkeypatch, tmp_path):

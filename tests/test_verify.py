@@ -36,7 +36,7 @@ def test_report_lists_each_check_once_in_a_fixed_order(suite):
 
 
 def test_lemma2_draws_do_not_consult_the_lu_oracle(monkeypatch):
-    def reject(self, pivot_floor=None):
+    def reject(self):
         raise SingularMatrixError("pivot test called", pivot=0.0)
 
     monkeypatch.setattr(LUFactorization, "_check_pivots", reject)

@@ -15,7 +15,11 @@ on the same inputs.
 FILE is sorted-key JSON holding both commits, the seed, the run length, the
 pair count, `nproc`, the Python, numpy and BLAS versions, and per workload
 and side each metric's median and quartiles, its unit and the raw values,
-with the runs' `correct` flags and failed-op counts. Exit 0 when every run
+with the runs' `correct` flags and failed-op counts. Per workload, `claim`
+holds for each end-to-end metric the two figures a gain is judged on: the
+pairs the change won in the direction BENCHMARK.json's `better` gives (ties
+count for neither side), and whether the medians differ by more than the
+distance between the parent's quartiles. Exit 0 when every run
 is correct with no failed op, 1 when some run is not (FILE is still
 written), and 2 on a bad argument or a run that prints no result.
 """
@@ -122,8 +126,23 @@ def summary(results: list[dict]) -> dict:
     }
 
 
-def compare(checkouts: dict, workloads: list[str], seed: int, seconds: float) -> dict:
-    """Per workload, the summary of each side over PAIRS alternating pairs of runs."""
+def claim(sides: dict, end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric of one workload: its `better` direction, the
+    pairs the change won in it, and whether the change's median is off the
+    parent's by more than the parent's quartile spread."""
+    figures = {}
+    for spec in end_to_end:
+        parent, change = (sides[side]["metrics"][spec["name"]] for side in SIDES)
+        sign = 1 if spec["better"] == "higher" else -1
+        won = sum(sign * (c - p) > 0 for p, c in zip(parent["values"], change["values"]))
+        beyond = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        figures[spec["name"]] = {"better": spec["better"], "pairs_won": won, "beyond_parent_spread": beyond}
+    return figures
+
+
+def compare(checkouts: dict, workloads: list[str], seed: int, seconds: float, end_to_end: list[dict]) -> dict:
+    """Per workload, the summary of each side over PAIRS alternating pairs of
+    runs, and the claim figures of its end-to-end metrics."""
     figures = {}
     for workload in workloads:
         results = {side: [] for side in SIDES}
@@ -133,6 +152,7 @@ def compare(checkouts: dict, workloads: list[str], seed: int, seconds: float) ->
                 print(f"{workload}: pair {k + 1}/{PAIRS}, {side}", file=sys.stderr, flush=True)
                 results[side].append(run_workload(checkouts[side], workload, seed, seconds))
         figures[workload] = {side: summary(results[side]) for side in SIDES}
+        figures[workload]["claim"] = claim(figures[workload], end_to_end)
     return figures
 
 
@@ -161,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(checkouts[side])
             commits[side] = extract(rev, checkouts[side])
         try:
-            figures = compare(checkouts, workloads, args.seed, seconds)
+            figures = compare(checkouts, workloads, args.seed, seconds, benchmark["end_to_end"])
             baseline = run_baseline(checkouts["change"], args.seed)
         except RunError as err:
             print(f"error: {err}", file=sys.stderr)
