@@ -65,14 +65,16 @@ def test_bench_compare_writes_sorted_keys_and_alternates_sides(bench_compare, mo
 
 def test_bench_compare_counts_pairs_won_and_the_parent_spread(bench_compare, monkeypatch, tmp_path):
     # pair k holds run k of each side; pair 8 is a tie and pair 9 a loss for a lower-is-better metric
+    # setup_s wins every pair by 0.5, inside the parent's quartile spread of 1
     parent = [10.0, 11.0, 10.0, 12.0, 10.0, 11.0, 10.0, 12.0, 10.0, 11.0]
     change = [9.0] * 8 + [10.0, 12.0]
-    runs = {"parent": iter(parent), "change": iter(change)}
+    runs = {"parent": iter(zip(parent, parent)), "change": iter(zip(change, [p - 0.5 for p in parent]))}
 
     def run_workload(checkout, workload, seed, seconds):
-        value = next(runs[os.path.basename(checkout)])
+        value, setup = next(runs[os.path.basename(checkout)])
         metrics = {spec["name"]: {"value": 1.0, "unit": spec["unit"]} for spec in END_TO_END}
         metrics["latency_p50_ms"]["value"] = metrics["throughput_per_s"]["value"] = value
+        metrics["setup_s"]["value"] = setup
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
     _stub(monkeypatch, bench_compare, [])
@@ -85,6 +87,7 @@ def test_bench_compare_counts_pairs_won_and_the_parent_spread(bench_compare, mon
     assert claim["latency_p50_ms"] == {"better": "lower", "pairs_won": 8, "beyond_parent_spread": True}
     assert claim["throughput_per_s"] == {"better": "higher", "pairs_won": 1, "beyond_parent_spread": True}
     assert claim["peak_rss_mb"] == {"better": "lower", "pairs_won": 0, "beyond_parent_spread": False}
+    assert claim["setup_s"] == {"better": "lower", "pairs_won": 10, "beyond_parent_spread": False}
 
 
 def test_bench_compare_exits_1_on_an_incorrect_run(bench_compare, monkeypatch, tmp_path):
