@@ -47,18 +47,16 @@ def _format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _load_dense(path) -> DenseMatrix:
-    value = read_matrix(path)
-    if not isinstance(value, DenseMatrix):
-        raise MatrixFormatError(f"{path}: expected a dense matrix file (kind 'dense')")
-    return value
-
-
-def _load_angle(path) -> AngleMatrix:
-    value = read_matrix(path)
-    if not isinstance(value, AngleMatrix):
-        raise MatrixFormatError(f"{path}: expected an angle matrix file (kind 'angle')")
-    return value
+def _load_pair(args) -> tuple[DenseMatrix, AngleMatrix]:
+    """The --matrix and --angle files, each read and checked in that order."""
+    pair = []
+    for path, cls, expected in ((args.matrix, DenseMatrix, "a dense matrix file (kind 'dense')"),
+                                (args.angle, AngleMatrix, "an angle matrix file (kind 'angle')")):
+        value = read_matrix(path)
+        if not isinstance(value, cls):
+            raise MatrixFormatError(f"{path}: expected {expected}")
+        pair.append(value)
+    return tuple(pair)
 
 
 def _cmd_gen(args, argv):
@@ -73,8 +71,7 @@ def _cmd_gen(args, argv):
 
 
 def _cmd_det(args, argv):
-    matrix = _load_dense(args.matrix)
-    mask = _load_angle(args.angle)
+    matrix, mask = _load_pair(args)
     structured = det_structured(matrix, mask)
     oracle = det_lu(hadamard_product(matrix, mask.materialize()))
     print(f"structured: {_format_complex(structured)}")
@@ -83,41 +80,27 @@ def _cmd_det(args, argv):
     return 0
 
 
-def _cmd_inv(args, argv):
-    matrix = _load_dense(args.matrix)
-    mask = _load_angle(args.angle)
-    solution = inverse_structured(matrix, mask)
+def _cmd_solve(args, argv):
+    """inv or pinv: the structured result, and with --oracle the naive one and
+    the residuals of the structured result."""
+    matrix, mask = _load_pair(args)
+    square = args.command == "inv"
+    solution = (inverse_structured if square else pinv_structured)(matrix, mask)
     if args.oracle:  # before any write, so a failing oracle leaves no --out behind
         masked = hadamard_product(matrix, mask.materialize())
-        reference = inverse_lu(masked)
+        reference = (inverse_lu if square else pinv_full_rank)(masked)
     write_matrix(args.out, solution)
     print(f"wrote {args.out}")
     if args.oracle:
         oracle_path = f"{args.out}.oracle"
         write_matrix(oracle_path, reference)
         print(f"wrote {oracle_path}")
-        eye = np.eye(matrix.rows)
-        print(f"left_identity_residual: {float(np.linalg.norm(solution.array @ masked.array - eye))!r}")
-        print(f"right_identity_residual: {float(np.linalg.norm(masked.array @ solution.array - eye))!r}")
-        print(f"oracle_diff_frobenius: {float(np.linalg.norm(solution.array - reference.array))!r}")
-    return 0
-
-
-def _cmd_pinv(args, argv):
-    matrix = _load_dense(args.matrix)
-    mask = _load_angle(args.angle)
-    solution = pinv_structured(matrix, mask)
-    if args.oracle:  # before any write, so a failing oracle leaves no --out behind
-        masked = hadamard_product(matrix, mask.materialize())
-        reference = pinv_full_rank(masked)
-    write_matrix(args.out, solution)
-    print(f"wrote {args.out}")
-    if args.oracle:
-        oracle_path = f"{args.out}.oracle"
-        write_matrix(oracle_path, reference)
-        print(f"wrote {oracle_path}")
-        report = penrose_check(masked, solution)
-        print(f"penrose_worst_residual: {report.worst()!r}")
+        if square:
+            eye = np.eye(matrix.rows)
+            print(f"left_identity_residual: {float(np.linalg.norm(solution.array @ masked.array - eye))!r}")
+            print(f"right_identity_residual: {float(np.linalg.norm(masked.array @ solution.array - eye))!r}")
+        else:
+            print(f"penrose_worst_residual: {penrose_check(masked, solution).worst()!r}")
         print(f"oracle_diff_frobenius: {float(np.linalg.norm(solution.array - reference.array))!r}")
     return 0
 
@@ -177,19 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--angle", required=True, help="angle matrix file")
     det.set_defaults(func=_cmd_det)
 
-    inv = sub.add_parser("inv", help="structured inverse of a masked square matrix")
-    inv.add_argument("--matrix", required=True, help="dense matrix file")
-    inv.add_argument("--angle", required=True, help="angle matrix file")
-    inv.add_argument("--out", required=True, help="output path for the structured result")
-    inv.add_argument("--oracle", action="store_true", help="also write the naive result and print residuals")
-    inv.set_defaults(func=_cmd_inv)
-
-    pinv = sub.add_parser("pinv", help="structured pseudoinverse of a masked full-rank matrix")
-    pinv.add_argument("--matrix", required=True, help="dense matrix file")
-    pinv.add_argument("--angle", required=True, help="angle matrix file")
-    pinv.add_argument("--out", required=True, help="output path for the structured result")
-    pinv.add_argument("--oracle", action="store_true", help="also write the naive result and print residuals")
-    pinv.set_defaults(func=_cmd_pinv)
+    for name, what in (("inv", "inverse of a masked square matrix"),
+                       ("pinv", "pseudoinverse of a masked full-rank matrix")):
+        solve = sub.add_parser(name, help=f"structured {what}")
+        solve.add_argument("--matrix", required=True, help="dense matrix file")
+        solve.add_argument("--angle", required=True, help="angle matrix file")
+        solve.add_argument("--out", required=True, help="output path for the structured result")
+        solve.add_argument("--oracle", action="store_true", help="also write the naive result and print residuals")
+        solve.set_defaults(func=_cmd_solve)
 
     verify = sub.add_parser("verify", help="run a randomized identity suite and write a report")
     verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True,

@@ -19,10 +19,9 @@ from .core import (
     SingularMatrixError,
     checked_pinv,
     hadamard_product,
-    rescale,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
-from .pseudo import _inverse_gate, penrose_check, pinv_full_rank
+from .pseudo import _inverse_gate, _masked_pinv, penrose_check, pinv_full_rank
 
 __all__ = [
     "PrecomputedBase",
@@ -90,8 +89,8 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
-    """Masked (pseudo)inverse for one update: the stored base masked by the
-    conjugate-transposed angle matrix.
+    """Masked (pseudo)inverse for one update: pseudo._masked_pinv on the
+    stored base.
 
     Costs O(m+n) trigonometric evaluations (one per phase) plus O(mn) complex
     multiplications; performs no factorization, and no finiteness scan of the
@@ -99,7 +98,7 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
     """
     if t.shape != base.shape:
         raise ValueError(f"apply_update shape mismatch: base {base.shape} vs angle matrix {t.shape}")
-    return DenseMatrix._wrap(rescale(base.base_pinv.array, -t.phi, -t.theta), base.bounded)
+    return _masked_pinv(base.base_pinv.array, t, base.bounded)
 
 
 def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:

@@ -138,10 +138,18 @@ def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMa
     return base_gram, scale, structured_gram
 
 
+def _masked_pinv(x: np.ndarray, t: AngleMatrix, proven_finite: bool = False) -> DenseMatrix:
+    """The one masking step: the base (pseudo)inverse x of A, masked by the
+    conjugate transpose of t, is the (pseudo)inverse of A masked by t, i.e.
+    x rescaled by e^(-j*phi) on the rows and e^(-j*theta) on the columns.
+    proven_finite skips the overflow scan (DenseMatrix._wrap)."""
+    return DenseMatrix._wrap(rescale(x, -t.phi, -t.theta), proven_finite)
+
+
 def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
-    """Pseudoinverse of the masked matrix: pseudoinverse of A masked by the
-    conjugate transpose of the angle matrix. One Gram solve on A; the masked
-    matrix is never formed."""
+    """Pseudoinverse of the masked matrix: one Gram solve on A, then
+    _masked_pinv; the masked matrix is never formed. For a square A this is
+    inverse_structured."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.phi, -t.theta))
+    return _masked_pinv(checked_pinv(a.array), t)

@@ -18,9 +18,9 @@ from .core import (
     checked_pinv,
     det_lu,
     lu_factorize,
-    rescale,
     slogdet,
 )
+from .pseudo import _masked_pinv
 
 __all__ = [
     "det_structured",
@@ -80,18 +80,19 @@ def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
 
 def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of the masked matrix: inverse(A) masked by the conjugate
-    transpose of the angle matrix, i.e. inverse(A) rescaled by e^(-j*phi) on
-    the rows and e^(-j*theta) on the columns. Factors A exactly once; the
-    masked matrix is never formed, let alone factored."""
+    transpose of the angle matrix (pseudo._masked_pinv), the same matrix as
+    pinv_structured for a square A. Factors A exactly once; the masked matrix
+    is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
-    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.phi, -t.theta))
+    return _masked_pinv(checked_pinv(a.array), t)
 
 
 def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
-    """Inverse of A masked by the transposed angle matrix: inverse(A) masked by
-    the entrywise conjugate (no transpose)."""
+    """Inverse of A masked by the transposed angle matrix: pseudo._masked_pinv
+    with the transposed mask, i.e. inverse(A) masked by the entrywise
+    conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    return DenseMatrix._wrap(rescale(checked_pinv(a.array), -t.theta, -t.phi))
+    return _masked_pinv(checked_pinv(a.array), AngleMatrix(theta=t.phi, phi=t.theta))
 
 
 def cofactor(a: DenseMatrix, i: int, j: int) -> complex:

@@ -66,6 +66,32 @@ def test_inv_writes_result_and_oracle(tmp_path, capsys):
     assert "oracle_diff_frobenius" in printed
 
 
+def test_inv_and_pinv_output_is_pinned(tmp_path, capsys):
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    write_matrix(a_path, DenseMatrix([[2, 1j], [0, 1]]))
+    write_matrix(t_path, AngleMatrix(theta=[0.3, -1.0], phi=[2.0, 0.5]))
+    out = str(tmp_path / "x.json")
+    value = r"(-?\d+(\.\d+)?(e[-+]\d+)?)"
+    expected = {
+        "inv": ["left_identity_residual", "right_identity_residual", "oracle_diff_frobenius"],
+        "pinv": ["penrose_worst_residual", "oracle_diff_frobenius"],
+    }
+    for command, names in expected.items():
+        assert run_cli(command, "--matrix", str(a_path), "--angle", str(t_path), "--out", out, "--oracle") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"wrote {out}", f"wrote {out}.oracle"]
+        assert [line.split(": ")[0] for line in lines[2:]] == names
+        for line in lines[2:]:
+            number = line.split(": ")[1]
+            assert re.fullmatch(value, number) and repr(float(number)) == number
+        assert run_cli(command, "--matrix", str(a_path), "--angle", str(t_path), "--out", out) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+    # --matrix is read and checked before --angle is opened
+    assert run_cli("inv", "--matrix", str(t_path), "--angle", str(tmp_path / "absent.json"), "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {t_path}: expected a dense matrix file (kind 'dense')\n"
+
+
 def test_inv_singular_input_exits_3(tmp_path, capsys):
     a_path = tmp_path / "a.json"
     t_path = tmp_path / "t.json"

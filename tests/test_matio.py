@@ -120,6 +120,22 @@ def test_dense_rejects_malformed_pair(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("field, text", [
+    ("data", '"data": [[true, 0.0]]'),
+    ("data", '"data": [["1.5", 0.0]]'),
+    ("theta", '"theta": [true], "phi": [0.0]'),
+    ("theta", '"theta": ["0.5"], "phi": [0.0]'),
+    ("phi", '"theta": [0.0], "phi": [true]'),
+    ("phi", '"theta": [0.0], "phi": ["0.5"]'),
+])
+def test_booleans_and_strings_are_not_numbers(tmp_path, field, text):
+    path = tmp_path / "bad.json"
+    kind = '"kind": "dense", "rows": 1, "cols": 1' if field == "data" else '"kind": "angle"'
+    path.write_text(f"{{{kind}, {text}}}")
+    with pytest.raises(MatrixFormatError, match=f"field '{field}' must hold real numbers"):
+        read_matrix(path)
+
+
 def test_angle_rejects_empty_phase_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "angle", "theta": [], "phi": [0]}')
