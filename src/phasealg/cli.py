@@ -160,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--angle", required=True, help="angle matrix file")
     det.set_defaults(func=_cmd_det)
 
-    for name, what in (("inv", "inverse of a masked square matrix"),
-                       ("pinv", "pseudoinverse of a masked full-rank matrix")):
-        solve = sub.add_parser(name, help=f"structured {what}")
+    for name, help_text in (("inv", "structured inverse of a masked square matrix"),
+                            ("pinv", "structured pseudoinverse of a masked full-rank matrix")):
+        solve = sub.add_parser(name, help=help_text)
         solve.add_argument("--matrix", required=True, help="dense matrix file")
         solve.add_argument("--angle", required=True, help="angle matrix file")
         solve.add_argument("--out", required=True, help="output path for the structured result")
