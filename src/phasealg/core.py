@@ -50,7 +50,7 @@ class SingularMatrixError(ValueError):
     That is a pivot on the LU oracle. On the production route (checked_pinv)
     it is the reciprocal condition number of the system inverted, A itself
     when square and its Gram system otherwise, or 0.0 when LAPACK meets an
-    exactly zero pivot.
+    exactly zero pivot or the scaled-back result does not fit in float64.
     """
 
     def __init__(self, message: str, pivot: float):
@@ -97,6 +97,26 @@ def _largest_part(arr: np.ndarray) -> float:
     """max over entries of max(|re|, |im|), without an m-by-n temporary."""
     parts = _parts(arr)
     return float(max(parts.max(), -parts.min()))
+
+
+_EXPONENT_BAND = 500  # within 2^+-500, LU growth and Gram squares stay in float64
+
+
+def _exponent(arr: np.ndarray) -> int:
+    """The binary exponent e that puts arr's largest real or imaginary part
+    in [0.5, 1) times 2^e, or 0 when |e| <= _EXPONENT_BAND (no prescale)."""
+    parts = _parts(arr)
+    e = int(np.frexp(max(parts.max(), -parts.min()))[1])
+    return e if abs(e) > _EXPONENT_BAND else 0
+
+
+def _scale2(x: np.ndarray, e: int) -> np.ndarray:
+    """x * 2^e on the float64 view in two factors, since 2.0**e alone can
+    overflow. Exact unless an entry leaves the normal range."""
+    x = np.ascontiguousarray(x)
+    out = x.view(np.float64) * 2.0 ** (e // 2)
+    out *= 2.0 ** (e - e // 2)
+    return out.view(x.dtype)
 
 
 class DenseMatrix:
@@ -187,21 +207,6 @@ def _frobenius(x: np.ndarray) -> float:
     return largest * float(np.linalg.norm(_parts(x) / largest))
 
 
-def _norm_product(a: np.ndarray, b: np.ndarray) -> float:
-    """||a||_F * ||b||_F at any scale at which the product fits in float64.
-    One factor alone can leave float64, as ||a^-1||_F does for a = 6e-309 * I;
-    only then is the product taken again as ||a / s||_F * ||s * b||_F with
-    s = _largest_part(a)."""
-    product = _frobenius(a) * _frobenius(b)
-    if 0.0 < product < np.inf:
-        return product
-    scale = _largest_part(a)
-    if not 0.0 < scale < np.inf:
-        return product
-    with np.errstate(over="ignore"):  # s * b overflows only where the product does
-        return _frobenius(_parts(a) / scale) * _frobenius(_parts(b) * scale)
-
-
 def frobenius_norm(a: DenseMatrix) -> float:
     return _frobenius(a.array)
 
@@ -236,26 +241,17 @@ def lu_factorization_count() -> int:
     return _lu_factorizations
 
 
-def _divide_parts(x: np.ndarray, scale: float) -> np.ndarray:
-    """x / scale for a real scale, divided on the float64 view of x: numpy's
-    complex division by a subnormal real overflows."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    return (x.view(np.float64) / scale).view(np.complex128)
-
-
 def checked_pinv(a: np.ndarray) -> np.ndarray:
     """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
-    inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide. The one system S
-    inverted is rejected as singular when its reciprocal Frobenius condition
-    1 / (||S||_F * ||S^-1||_F) is at most RANK_EPS, with the product of the two
-    norms taken at any scale (_norm_product). Only when LAPACK's inverse is
-    not finite, as inside inv(1e-308 * S) for a well-conditioned S, is S^-1
-    taken again as inv(S / s) / s with s = _largest_part(S), on float64
-    views; a retry that is still not finite is rejected as singular. Counts
-    one factorization."""
+    inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide, taken of
+    A * 2^-e and scaled back by 2^-e (_exponent). Rejected as singular when
+    the one system S inverted has 1 / (||S||_F ||S^-1||_F) <= RANK_EPS, or
+    when the result does not fit in float64. Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
+    e = _exponent(a)
+    a = _scale2(a, -e) if e else a
     if m == n:
         system = a
     else:
@@ -263,32 +259,33 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         system = adjoint @ a if m > n else a @ adjoint
     try:
         inv = np.linalg.inv(system)
-        reciprocal_condition = 1.0 / _norm_product(system, inv)
-        if not reciprocal_condition > RANK_EPS and not np.isfinite(inv).all():
-            scale = _largest_part(system)
-            with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
-                inv = _divide_parts(np.linalg.inv(_divide_parts(system, scale)), scale)
-            reciprocal_condition = 1.0 / _norm_product(system, inv)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
+    reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
+    if reciprocal_condition > RANK_EPS and m != n:
+        inv = inv @ adjoint if m > n else adjoint @ inv
+    if e:
+        with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
+            inv = _scale2(inv, -e)
+        if not np.isfinite(inv).all():
+            reciprocal_condition = 0.0
     if not reciprocal_condition > RANK_EPS:  # also rejects nan from non-finite inverse entries
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
             f"{reciprocal_condition:.3e} <= threshold {RANK_EPS:.3e}",
             pivot=reciprocal_condition,
         )
-    if m == n:
-        return inv
-    return inv @ adjoint if m > n else adjoint @ inv
+    return inv
 
 
 def slogdet(a: np.ndarray) -> tuple[complex, float]:
-    """LAPACK (sign, log|det|) of a square array; sign is 0 for an exactly
-    singular one. Counts one factorization."""
+    """LAPACK (sign, log|det|) of a square array, via A * 2^-e and n e ln 2
+    (_exponent); sign is 0 when exactly singular. Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
-    sign, log_abs = np.linalg.slogdet(a)
-    return complex(sign), float(log_abs)
+    e = _exponent(a)
+    sign, log_abs = np.linalg.slogdet(_scale2(a, -e) if e else a)
+    return complex(sign), float(log_abs + a.shape[0] * e * np.log(2.0))
 
 
 # Largest component magnitude B of a matrix x for which rescale cannot

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .angle import AngleMatrix, gram
 from .core import (
     RESIDUAL_EPS,
     DenseMatrix,
-    _norm_product,
     checked_pinv,
     frobenius_norm,
     lu_factorize,
@@ -86,21 +86,22 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     Two products instead of penrose_check's four, and at least as strict as
     the four normwise-relative Penrose residuals: with E = AX - I and
     F = XA - I, ||AXA - A|| <= ||E|| ||A||, ||XAX - X|| <= ||X|| ||E||, and
-    the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. E and F
-    are of order one at any scale, and the denominator is taken at any scale
-    (core._norm_product), so the ratio does not change under A -> sA,
-    X -> X / s. The candidate passes when ratio <= limit; a nan ratio fails.
-    The denominator is finite for every x that checked_pinv returns, whose
-    ||A||_F ||X||_F is below 1 / RANK_EPS.
+    the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. As
+    the ratio does not change under A -> sA, X -> X / s, it is taken of the
+    exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing overflows.
+    The candidate passes when ratio <= limit; a nan ratio fails.
     """
     n = a.shape[0]
+    e = core._exponent(a)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
+        if e:
+            a, x = core._scale2(a, -e), core._scale2(x, e)
         ax = a @ x
         xa = x @ a
         ax.reshape(-1)[:: n + 1] -= 1.0
         xa.reshape(-1)[:: n + 1] -= 1.0
         residual = np.maximum(np.linalg.norm(ax), np.linalg.norm(xa))  # propagates nan
-        ratio = float(2.0 * residual / _norm_product(a, x))
+        ratio = float(2.0 * residual / (core._frobenius(a) * core._frobenius(x)))
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 
 

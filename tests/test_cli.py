@@ -163,6 +163,23 @@ def test_det_outside_float_range_exits_3(tmp_path, capsys):
     assert "float64 range" in captured.err
 
 
+def test_inv_and_det_of_a_base_at_1e308(tmp_path, capsys):
+    # the inverse fits in float64 and comes back exact; |det| = 2e616 does not
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    out_path = tmp_path / "x.json"
+    write_matrix(a_path, DenseMatrix(1e308 * np.array([[1, 1], [-1, 1]])))
+    write_matrix(t_path, AngleMatrix(theta=np.zeros(2), phi=np.zeros(2)))
+    assert run_cli("inv", "--matrix", str(a_path), "--angle", str(t_path), "--out", str(out_path)) == 0
+    assert np.array_equal(read_matrix(out_path).array, 5e-309 * np.array([[1, -1], [1, 1]]))
+    capsys.readouterr()
+    assert run_cli("det", "--matrix", str(a_path), "--angle", str(t_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: determinant modulus exp\(1419\.09\) is outside the float64 range \S+, \S+\n",
+                        captured.err)
+
+
 def test_masked_result_that_overflows_exits_3(tmp_path, capsys):
     # inv(a) = 1.515e308 * (1 + 1j) has finite parts; the mask's pi/4 turn
     # puts its whole modulus on the imaginary axis, beyond float64
@@ -198,6 +215,14 @@ def test_undecodable_file_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(bad) in err
     assert a_path not in err
+
+
+def test_deeply_nested_file_exits_2_naming_it(tmp_path, capsys):
+    a_path, _ = write_identity_pair(tmp_path)
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"kind": "angle", "theta": ' + "[" * 100000 + "]" * 100000 + ', "phi": [0.0]}')
+    assert run_cli("det", "--matrix", a_path, "--angle", str(bad)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: JSON nested too deeply to parse\n"
 
 
 def test_integer_beyond_float64_exits_2(tmp_path, capsys):

@@ -81,13 +81,40 @@ def test_precompute_gate_holds_at_every_scale(monkeypatch, scale):
 def test_precompute_accepts_a_dense_base_at_1e_308():
     # B^-1 has largest modulus 0.75, so (1e-308 B)^-1 fits in float64, but
     # LAPACK's inv of 1e-308 B overflows inside and returns inf and nan
-    # entries; checked_pinv takes it again as inv(B') / s on the scaled B'
+    # entries; checked_pinv inverts the exactly prescaled 2^-e * 1e-308 B
+    # instead and scales the result back by 2^-e
     b = draw_well_conditioned(stream_generator(3, 0), 8, 8).array
     x = core.checked_pinv(1e-308 * b)
     expected = np.linalg.inv(b) / 1e-308
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
     x = precompute(DenseMatrix(1e-308 * b)).base_pinv.array
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def _near_max(n: int, share: float) -> np.ndarray:
+    """A well-conditioned n x n base scaled to a largest part of share * max."""
+    b = draw_well_conditioned(stream_generator(3, 0), n, n).array
+    return b * (share * np.finfo(np.float64).max / core._largest_part(b))
+
+
+NEAR_MAX = [pytest.param(1e308 * np.array([[1, 1], [-1, 1]], dtype=complex), id="2x2-1e308")]
+NEAR_MAX += [pytest.param(_near_max(n, share), id=f"{n}x{n}-{share}max") for n in (4, 8) for share in (0.25, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("a", NEAR_MAX)
+def test_inverse_near_float64_max_is_right_on_every_route(a):
+    # LU growth overflows inside LAPACK at this scale: its inv of
+    # 1e308 * [[1, 1], [-1, 1]] is the finite but wrong [[1e-308, 0], [0, 0]].
+    # The reference inverts the same matrix times 2^-1000, which is exact,
+    # and scales the result back the same way.
+    n = a.shape[0]
+    t = draw_angle(stream_generator(3, 1), n, n)
+    expected = np.linalg.inv(a * 2.0 ** -1000) * 2.0 ** -1000
+    masked = expected * t.hermitian().materialize().array
+    for x, reference in ((core.checked_pinv(a), expected),
+                         (precompute(DenseMatrix(a)).base_pinv.array, expected),
+                         (inverse_structured(DenseMatrix(a), t).array, masked)):
+        assert np.abs(x - reference).max() <= 1e-15 * np.abs(reference).max()
 
 
 def test_checked_pinv_still_rejects_an_inverse_beyond_float64():

@@ -136,6 +136,18 @@ def test_pinv_structured_penrose_and_oracle():
         assert np.linalg.norm(x.array - reference.array) <= 1e-8 * (1 + norm)
 
 
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+def test_pinv_structured_at_extreme_scales(shape, scale):
+    # the Gram system squares the scale: unless the base is prescaled, A^H A
+    # overflows at 1e160 and underflows to a singular matrix at 1e-160
+    b = draw_well_conditioned(stream_generator(3, 0), *shape).array
+    t = draw_angle(stream_generator(3, 1), *shape)
+    expected = np.linalg.pinv(b) / scale * t.hermitian().materialize().array
+    x = pinv_structured(DenseMatrix(scale * b), t).array
+    assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_pinv_structured_duality():
     gen = stream_generator(131, 0)
     a = draw_well_conditioned(gen, 7, 4)

@@ -223,6 +223,15 @@ def test_det_outside_float_range_raises():
     assert excinfo.value.log_abs == pytest.approx(np.linalg.slogdet(a.array)[1])
 
 
+def test_det_beyond_float64_max_reports_its_log_without_a_warning():
+    # |det| = 2e616, so log|det| = ln 2 + 616 ln 10 = 1419.09; LU growth
+    # inside LAPACK's slogdet overflows unless the base is prescaled
+    a = DenseMatrix(1e308 * np.array([[1, 1], [-1, 1]]))
+    with pytest.raises(DeterminantRangeError) as excinfo:
+        det_structured(a, AngleMatrix(theta=[0.3, 1.2], phi=[-0.4, 2.0]))
+    assert excinfo.value.log_abs == pytest.approx(np.log(2.0) + 2 * np.log(1e308), rel=1e-15)
+
+
 def test_det_near_float_limit_matches_slogdet():
     a = draw_dense(stream_generator(5, 0), 268, 268)
     t = draw_angle(stream_generator(5, 1), 268, 268)
