@@ -99,7 +99,7 @@ def _largest_part(arr: np.ndarray) -> float:
     return float(max(parts.max(), -parts.min()))
 
 
-_EXPONENT_BAND = 500  # within 2^+-500, LU growth and Gram squares stay in float64
+_EXPONENT_BAND = 400  # within 2^+-400, Gram systems and their inverses stay in float64's normal range
 
 
 def _exponent(arr: np.ndarray) -> int:

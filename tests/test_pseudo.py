@@ -16,7 +16,9 @@ from phasealg import (
     pinv_full_rank,
     pinv_structured,
 )
+from phasealg import core
 from phasealg.generate import draw_angle, draw_well_conditioned, stream_generator
+from test_structured import _graded
 
 
 def test_pinv_identity():
@@ -146,6 +148,18 @@ def test_pinv_structured_at_extreme_scales(shape, scale):
     expected = np.linalg.pinv(b) / scale * t.hermitian().materialize().array
     x = pinv_structured(DenseMatrix(scale * b), t).array
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("exponent", [-499, 499])
+def test_checked_pinv_of_a_graded_tall_base_near_float64_edges(exponent):
+    # The Gram system squares the condition, 3e4, to 9e8: at a largest part
+    # near 2^-499 its inverse, about 2^998 * 9e8, leaves float64 unless the
+    # base is prescaled. A power-of-two scale changes no bit of the result.
+    g = _graded(0, 20, 3e4).array
+    a = np.vstack([g, np.zeros_like(g)])
+    a *= 2.0 ** -np.frexp(core._largest_part(a))[1]
+    expected = core.checked_pinv(a) * 2.0 ** -exponent
+    assert np.array_equal(core.checked_pinv(a * 2.0 ** exponent), expected)
 
 
 def test_pinv_structured_duality():
