@@ -113,10 +113,9 @@ def _exponent(arr: np.ndarray) -> int:
 def _scale2(x: np.ndarray, e: int) -> np.ndarray:
     """x * 2^e on the float64 view in two factors, since 2.0**e alone can
     overflow. Exact unless an entry leaves the normal range."""
-    x = np.ascontiguousarray(x)
-    out = x.view(np.float64) * 2.0 ** (e // 2)
+    out = x.ravel().view(np.float64) * 2.0 ** (e // 2)
     out *= 2.0 ** (e - e // 2)
-    return out.view(x.dtype)
+    return out.view(x.dtype).reshape(x.shape)
 
 
 class DenseMatrix:
