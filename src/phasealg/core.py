@@ -5,6 +5,8 @@ oracle."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -106,16 +108,14 @@ def _exponent(arr: np.ndarray) -> int:
     """The binary exponent e that puts arr's largest real or imaginary part
     in [0.5, 1) times 2^e, or 0 when |e| <= _EXPONENT_BAND (no prescale)."""
     parts = _parts(arr)
-    e = int(np.frexp(max(parts.max(), -parts.min()))[1])
+    e = math.frexp(max(parts.max(), -parts.min()))[1]
     return e if abs(e) > _EXPONENT_BAND else 0
 
 
 def _scale2(x: np.ndarray, e: int) -> np.ndarray:
-    """x * 2^e on the float64 view in two factors, since 2.0**e alone can
+    """x * 2^e by np.ldexp on the float64 view, since 2.0**e alone can
     overflow. Exact unless an entry leaves the normal range."""
-    out = x.ravel().view(np.float64) * 2.0 ** (e // 2)
-    out *= 2.0 ** (e - e // 2)
-    return out.view(x.dtype).reshape(x.shape)
+    return np.ldexp(x.ravel().view(np.float64), e).view(x.dtype).reshape(x.shape)
 
 
 class DenseMatrix:
@@ -284,7 +284,7 @@ def slogdet(a: np.ndarray) -> tuple[complex, float]:
     _lu_factorizations += 1
     e = _exponent(a)
     sign, log_abs = np.linalg.slogdet(_scale2(a, -e) if e else a)
-    return complex(sign), float(log_abs + a.shape[0] * e * np.log(2.0))
+    return complex(sign), float(log_abs + a.shape[0] * e * math.log(2))
 
 
 # Largest component magnitude B of a matrix x for which rescale cannot
