@@ -69,24 +69,20 @@ class DeterminantRangeError(ArithmeticError):
         self.log_abs = float(log_abs)
 
 
-# Size up to which _require_finite scans entries directly: below about
-# 64x64, entering np.errstate costs more than the scan it would save.
-_DIRECT_SCAN_SIZE = 4096
-
-
 def _require_finite(arr: np.ndarray):
-    # Above _DIRECT_SCAN_SIZE, a finite sum means finite entries (inf and nan
-    # propagate) and costs half the entrywise scan; only a non-finite sum,
-    # which overflow alone can cause, needs the scan.
-    if arr.size <= _DIRECT_SCAN_SIZE:
-        finite = np.isfinite(arr).all()
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = arr.sum()
-        finite = np.isfinite(total) or np.isfinite(arr).all()
-    if not finite:
+    if not np.isfinite(_parts(arr)).all():
         i, k = np.argwhere(~np.isfinite(arr))[0]
         raise ValueError(f"non-finite entry at ({i}, {k})")
+
+
+def _require_finite_result(arr: np.ndarray):
+    """_require_finite for a kernel output. A kernel computes from finite
+    entries, so a non-finite output entry is an overflow and raises
+    OverflowError, where DenseMatrix() of bad input raises ValueError."""
+    try:
+        _require_finite(arr)
+    except ValueError as err:
+        raise OverflowError(f"result overflows float64: {err}") from None
 
 
 def _parts(arr: np.ndarray) -> np.ndarray:
@@ -107,8 +103,7 @@ _EXPONENT_BAND = 400  # within 2^+-400, Gram systems and their inverses stay in 
 def _exponent(arr: np.ndarray) -> int:
     """The binary exponent e that puts arr's largest real or imaginary part
     in [0.5, 1) times 2^e, or 0 when |e| <= _EXPONENT_BAND (no prescale)."""
-    parts = _parts(arr)
-    e = math.frexp(max(parts.max(), -parts.min()))[1]
+    e = math.frexp(_largest_part(arr))[1]
     return e if abs(e) > _EXPONENT_BAND else 0
 
 
@@ -141,16 +136,11 @@ class DenseMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray, proven_finite: bool = False) -> DenseMatrix:
         """Trusted constructor for a fresh 2-D complex128 kernel output that no
-        other reference can write to: no copy, and the finiteness scan unless
-        the caller has proved every entry finite. A kernel computes from
-        finite entries, so a non-finite output entry is an overflow and
-        raises OverflowError, where DenseMatrix() of bad input raises
-        ValueError."""
+        other reference can write to: no copy, and the finiteness scan
+        (_require_finite_result) unless the caller has proved every entry
+        finite."""
         if not proven_finite:
-            try:
-                _require_finite(arr)
-            except ValueError as err:
-                raise OverflowError(f"result overflows float64: {err}") from None
+            _require_finite_result(arr)
         arr.flags.writeable = False
         out = cls.__new__(cls)
         out._array = arr
@@ -287,13 +277,6 @@ def slogdet(a: np.ndarray) -> tuple[complex, float]:
     return complex(sign), float(log_abs + a.shape[0] * e * math.log(2))
 
 
-# Largest component magnitude B of a matrix x for which rescale cannot
-# overflow: with unit phase factors, whose real and imaginary parts are at
-# most 1, each of its two complex multiplies at most doubles the largest
-# component, so every output component is at most 4 * B * (1 + u)^2 < max.
-_RESCALE_SAFE = np.finfo(np.float64).max / 8
-
-
 def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
     """The one mask kernel: diag(e^(j*row_phases)) @ x @ diag(e^(j*col_phases)),
     in O(mn) with a single m-by-n allocation: x times the column factors,
@@ -302,16 +285,21 @@ def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> np
     Masking by an angle matrix is exactly this diagonal scaling, so every
     structured solve is a base solve followed by one call here. The phases
     are finite (AngleMatrix rejects others), so the factors have unit
-    modulus. Returns a fresh array, which may hold inf or nan where a product
-    overflows; the caller wraps it with DenseMatrix._wrap, which scans it
-    unless the caller knows the largest component of x is at most
-    _RESCALE_SAFE (engine.PrecomputedBase.bounded).
+    modulus and, x being finite, an output entry can leave float64 only
+    by overflow in the multiplies. Those run with numpy's overflow and
+    invalid flags routed to a local list; only when one fired is the result
+    scanned, and a non-finite entry raises OverflowError ("result overflows
+    float64: non-finite entry at (i, k)"). The scan decides, so a spurious
+    flag costs one scan and never an error. Returns a fresh, finite array.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller's wrap reports overflow
+    flags = []
+    with np.errstate(over="call", invalid="call", call=lambda err, flag: flags.append(err)):
         col = np.exp(1j * col_phases)
         row = np.exp(1j * row_phases)
         out = x * col[None, :]
         out *= row[:, None]
+    if flags:
+        _require_finite_result(out)
     return out
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .angle import AngleMatrix
 from .core import (
     RESIDUAL_EPS,
@@ -42,21 +41,15 @@ class PrecomputedBase:
 
     base_pinv is the inverse for square sources and the pseudoinverse
     otherwise; precompute checks it once (see there) and it is never
-    recomputed. The other two fields are derived from it on construction:
-    shape is the source's shape, the transpose of base_pinv's, and bounded
-    records in one O(mn) pass whether base_pinv's largest real or imaginary
-    magnitude is at most core._RESCALE_SAFE. While it is, no masked entry
-    can overflow, so apply_update wraps each update without a finiteness
-    scan; a base above the bound is scanned on every update.
+    recomputed. shape is derived from it on construction: the source's
+    shape, the transpose of base_pinv's.
     """
 
     base_pinv: DenseMatrix
     shape: tuple[int, int] = field(init=False)
-    bounded: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", self.base_pinv.shape[::-1])
-        object.__setattr__(self, "bounded", core._largest_part(self.base_pinv.array) <= core._RESCALE_SAFE)
 
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
@@ -69,8 +62,7 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     0.07 n u at n = 256 against the limit 10 n u; an X perturbed by a
     relative 1e-6 scores above 4e6 n u. A tall or wide base's pseudoinverse
     must pass penrose_check. A failure raises RuntimeError ("internal
-    consistency failure"). The returned PrecomputedBase takes the update
-    bound (PrecomputedBase.bounded) on construction.
+    consistency failure").
     """
     base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
     if a.rows == a.cols:
@@ -93,12 +85,13 @@ def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:
     stored base.
 
     Costs O(m+n) trigonometric evaluations (one per phase) plus O(mn) complex
-    multiplications; performs no factorization, and no finiteness scan of the
-    result while the base is bounded (PrecomputedBase.bounded).
+    multiplications; performs no factorization, and scans the result for
+    non-finite entries only when the multiplies flag an overflow
+    (core.rescale).
     """
     if t.shape != base.shape:
         raise ValueError(f"apply_update shape mismatch: base {base.shape} vs angle matrix {t.shape}")
-    return _masked_pinv(base.base_pinv.array, t, base.bounded)
+    return _masked_pinv(base.base_pinv.array, t)
 
 
 def naive_update(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:

@@ -139,12 +139,13 @@ def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMa
     return base_gram, scale, structured_gram
 
 
-def _masked_pinv(x: np.ndarray, t: AngleMatrix, proven_finite: bool = False) -> DenseMatrix:
+def _masked_pinv(x: np.ndarray, t: AngleMatrix) -> DenseMatrix:
     """The one masking step: the base (pseudo)inverse x of A, masked by the
     conjugate transpose of t, is the (pseudo)inverse of A masked by t, i.e.
     x rescaled by e^(-j*phi) on the rows and e^(-j*theta) on the columns.
-    proven_finite skips the overflow scan (DenseMatrix._wrap)."""
-    return DenseMatrix._wrap(rescale(x, -t.phi, -t.theta), proven_finite)
+    rescale raises OverflowError on a non-finite entry, so the result is
+    wrapped without a second scan."""
+    return DenseMatrix._wrap(rescale(x, -t.phi, -t.theta), proven_finite=True)
 
 
 def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:

@@ -28,7 +28,7 @@ from phasealg import (
     transpose,
 )
 from phasealg import core
-from phasealg.core import _RESCALE_SAFE, rescale
+from phasealg.core import rescale
 from phasealg.generate import draw_dense, draw_well_conditioned, stream_generator
 
 
@@ -44,9 +44,8 @@ def test_dense_matrix_accepts_finite_entries_whose_sum_overflows():
     assert np.isfinite(a.array).all()
 
 
-@pytest.mark.parametrize("n", [2, 128])  # either side of core._DIRECT_SCAN_SIZE
+@pytest.mark.parametrize("n", [2, 128])
 def test_finiteness_scan_on_either_side_of_the_direct_scan_size(n):
-    assert 2 * 2 <= core._DIRECT_SCAN_SIZE < 128 * 128
     values = np.full((n, n), 1e308 + 1e308j)
     assert DenseMatrix(values).shape == (n, n)
     values[n - 1, 1] = complex(0.0, np.inf)
@@ -55,11 +54,11 @@ def test_finiteness_scan_on_either_side_of_the_direct_scan_size(n):
 
 
 def test_rescale_at_the_bound_stays_finite_under_the_worst_rotation():
-    # both parts of each entry sit on the bound; a pi/4 factor turns an entry
-    # onto one axis, sqrt(2) times the bound
-    b = _RESCALE_SAFE
+    # both parts of each entry sit on max / 8; a pi/4 factor turns an entry
+    # onto one axis, sqrt(2) times that
+    b = np.finfo(np.float64).max / 8
     x = np.array([[b + b * 1j, -b + b * 1j], [b - b * 1j, -b - b * 1j]])
-    assert core._largest_part(x) == _RESCALE_SAFE
+    assert core._largest_part(x) == b
     phases = np.array([np.pi / 4, -np.pi / 4])
     assert np.isfinite(rescale(x, phases, phases)).all()
 

@@ -22,8 +22,8 @@ from phasealg import (
     precompute,
     run_benchmark,
 )
-from phasealg import core, engine
-from phasealg.core import _RESCALE_SAFE, checked_pinv, rescale
+from phasealg import core, engine, pseudo, structured
+from phasealg.core import checked_pinv, rescale
 from phasealg.engine import PrecomputedBase, _update_angles
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
 from test_structured import _graded
@@ -186,6 +186,8 @@ def test_apply_update_output_is_read_only_and_base_unchanged():
     assert not base.base_pinv.array.flags.writeable
 
 
+EIGHTH_OF_MAX = np.finfo(np.float64).max / 8
+
 extreme_phases = st.lists(
     st.floats(min_value=-1e308, max_value=1e308, allow_nan=False), min_size=1, max_size=5
 )
@@ -196,43 +198,40 @@ extreme_phases = st.lists(
        share=st.sampled_from([1e-307, 1e-154, 1e-3, 0.5, 1.0]),
        theta=extreme_phases, phi=extreme_phases)
 def test_apply_update_without_the_scan_is_finite_and_unchanged(seed, share, theta, phi):
-    # share is the base's largest component as a share of the bound; at 1.0
+    # share is the base's largest component as a share of max / 8; at 1.0
     # that component lies exactly on it
     t = AngleMatrix(theta=theta, phi=phi)
     m, n = t.shape
     x = draw_well_conditioned(stream_generator(seed, 0), n, m).array
     largest = max(np.abs(x.real).max(), np.abs(x.imag).max())
-    base = PrecomputedBase(DenseMatrix(x / largest * _RESCALE_SAFE * share))
-    assert base.bounded
+    base = PrecomputedBase(DenseMatrix(x / largest * EIGHTH_OF_MAX * share))
     out = apply_update(base, t)
     assert np.isfinite(out.array).all()
     assert np.array_equal(out.array, rescale(base.base_pinv.array, -t.phi, -t.theta))
 
 
 def test_apply_update_still_rejects_an_overflowing_base():
-    # a directly built base above the bound keeps the scan: a pi/4 rotation
-    # moves the entry onto one axis, which overflows
+    # a pi/4 rotation moves the entry onto one axis, which overflows
     base = PrecomputedBase(DenseMatrix([[1.5e308 + 1.5e308j]]))
-    assert not base.bounded
     with pytest.raises(OverflowError, match="overflows float64: non-finite"):
         apply_update(base, AngleMatrix(theta=[np.pi / 4], phi=[0.0]))
 
 
 def test_precomputed_base_derives_shape_and_bound(monkeypatch):
+    # no update that stays finite is scanned, at max / 8 or just above it:
+    # only an overflow flag raised in rescale's multiplies leads to a scan
     pinv = draw_dense(stream_generator(173, 0), 3, 2).array  # the pseudoinverse of a 2x3 base
-    scale = _RESCALE_SAFE / core._largest_part(pinv)
+    scale = EIGHTH_OF_MAX / core._largest_part(pinv)
     at_bound = PrecomputedBase(DenseMatrix(pinv * scale))
     above = PrecomputedBase(DenseMatrix(pinv * np.nextafter(scale, np.inf)))
     assert at_bound.shape == above.shape == (2, 3)
-    assert at_bound.bounded and not above.bounded
     scans = []
     require_finite = core._require_finite
     monkeypatch.setattr(core, "_require_finite", lambda arr: scans.append(arr.shape) or require_finite(arr))
     t = draw_angle(stream_generator(173, 1), 2, 3)
     apply_update(at_bound, t)
-    assert scans == []
     apply_update(above, t)
-    assert scans == [(3, 2)]
+    assert scans == []
 
 
 def test_masked_inverse_that_overflows_is_rejected_on_every_route():
@@ -247,16 +246,46 @@ def test_masked_inverse_that_overflows_is_rejected_on_every_route():
             route(a, t)
 
 
-def test_apply_update_bounds_the_base_once(monkeypatch):
-    calls = []
-    largest_part = core._largest_part
-    monkeypatch.setattr(core, "_largest_part", lambda arr: calls.append(arr.shape) or largest_part(arr))
-    gen = stream_generator(167, 0)
-    base = precompute(draw_well_conditioned(gen, 6, 4))
-    assert calls == [(4, 6)]  # precompute takes the bound
-    for _ in range(5):
-        apply_update(base, draw_angle(gen, 6, 4))
-    assert calls == [(4, 6)]
+def _flagless_rescale(x, row_phases, col_phases):
+    """rescale's two multiplies with numpy's flags ignored: inf or nan where a
+    product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x * np.exp(1j * col_phases)[None, :]
+        out *= np.exp(1j * row_phases)[:, None]
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(1, 17), n=st.integers(1, 17), seed=st.integers(0, 2**32 - 1),
+       share=st.floats(1 / 8, 1))
+def test_every_masked_route_raises_exactly_when_the_product_overflows(m, n, seed, share):
+    # Shapes 1 to 17 reach the tails of numpy's SIMD loops. The base x has
+    # uniform real and imaginary parts and its largest part at share * max;
+    # an entry with both parts near that has about sqrt(2) times its modulus,
+    # so a rotation can overflow it once share exceeds 1 / sqrt(2).
+    # checked_pinv is replaced by x on the routes that solve, so that every
+    # route masks the same base.
+    t = draw_angle(stream_generator(seed, 1), m, n)
+    x = stream_generator(seed, 0).uniform(-1, 1, (n, 2 * m)).view(np.complex128)
+    x = x / core._largest_part(x) * (share * np.finfo(np.float64).max)
+    a = DenseMatrix(np.ones((m, n)))
+    routes = [(lambda: apply_update(PrecomputedBase(DenseMatrix(x)), t), -t.phi, -t.theta),
+              (lambda: pinv_structured(a, t), -t.phi, -t.theta)]
+    if m == n:
+        routes += [(lambda: inverse_structured(a, t), -t.phi, -t.theta),
+                   (lambda: inverse_structured_transposed(a, t), -t.theta, -t.phi)]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (pseudo, structured):
+            patch.setattr(module, "checked_pinv", lambda arr: x)
+        for route, row_phases, col_phases in routes:
+            expected = _flagless_rescale(x, row_phases, col_phases)
+            bad = np.argwhere(~np.isfinite(expected))
+            if bad.size:
+                i, k = bad[0]
+                with pytest.raises(OverflowError, match=rf"^result overflows float64: non-finite entry at \({i}, {k}\)$"):
+                    route()
+            else:
+                assert np.array_equal(route().array.view(np.uint64), expected.view(np.uint64))
 
 
 def test_apply_update_dimension_mismatch():
