@@ -268,13 +268,20 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
 
 
 def slogdet(a: np.ndarray) -> tuple[complex, float]:
-    """LAPACK (sign, log|det|) of a square array, via A * 2^-e and n e ln 2
-    (_exponent); sign is 0 when exactly singular. Counts one factorization."""
+    """LAPACK (sign, log|det|) of a square array; sign is 0 when exactly
+    singular. Outside the band (_exponent), row i is first scaled exactly by
+    2^-e_i, e_i the binary exponent of its own largest real or imaginary
+    part, and sum(e_i) ln 2 is added back, so no entry is flushed against a
+    larger row. Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     e = _exponent(a)
-    sign, log_abs = np.linalg.slogdet(_scale2(a, -e) if e else a)
-    return complex(sign), float(log_abs + a.shape[0] * e * math.log(2))
+    if e:
+        parts = np.ascontiguousarray(a).view(np.float64)
+        e = np.frexp(np.abs(parts).max(axis=1))[1]
+        a = np.ldexp(parts, -e[:, None]).view(a.dtype)
+    sign, log_abs = np.linalg.slogdet(a)
+    return complex(sign), float(log_abs + np.sum(e) * math.log(2))
 
 
 def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> np.ndarray:

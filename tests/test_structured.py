@@ -28,6 +28,7 @@ from phasealg import (
     precompute,
     transpose,
 )
+from phasealg.core import slogdet
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
 from phasealg.verify import ADJUGATE_LIMIT
 
@@ -230,6 +231,19 @@ def test_det_beyond_float64_max_reports_its_log_without_a_warning():
     with pytest.raises(DeterminantRangeError) as excinfo:
         det_structured(a, AngleMatrix(theta=[0.3, 1.2], phi=[-0.4, 2.0]))
     assert excinfo.value.log_abs == pytest.approx(np.log(2.0) + 2 * np.log(1e308), rel=1e-15)
+
+
+@pytest.mark.parametrize("rows, det", [
+    ([[2.0 ** 601, 0.0], [0.0, 2.0 ** -600]], 2.0),
+    ([[2.0 ** 601, 1.0], [1.0, 2.0 ** -600]], 1.0),
+], ids=["diagonal", "full"])
+def test_det_of_a_badly_row_scaled_base(rows, det):
+    # the largest part, 2^601, lies outside the prescale band; one exponent
+    # for the whole base would flush 2^-600 to zero and call it singular
+    a = DenseMatrix(rows)
+    sign, log_abs = slogdet(a.array)
+    assert sign == 1 and log_abs == pytest.approx(np.log(det), abs=1e-15)
+    assert det_structured(a, AngleMatrix(theta=[0.0, 0.0], phi=[0.0, 0.0])) == pytest.approx(det, rel=1e-15)
 
 
 def test_det_near_float_limit_matches_slogdet():
