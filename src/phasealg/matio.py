@@ -133,6 +133,8 @@ def read_matrix(path) -> MatrixValue:
         raise MatrixFormatError(f"{path}: not UTF-8 text: byte {err.object[err.start]:#04x} at offset {err.start}") from None
     except RecursionError:
         raise MatrixFormatError(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as err:  # an integer literal beyond Python's digit limit
+        raise MatrixFormatError(f"{path}: {err}") from None
     if not isinstance(payload, dict):
         raise MatrixFormatError(f"{path}: expected a JSON object with a 'kind' field")
     kind = payload.get("kind")

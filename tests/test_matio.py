@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasealg import AngleMatrix, DenseMatrix, identity, read_matrix, write_matrix
 from phasealg.engine import BenchRecord
@@ -140,6 +142,43 @@ def test_angle_rejects_empty_phase_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "angle", "theta": [], "phi": [0]}')
     with pytest.raises(MatrixFormatError, match="'theta'"):
+        read_matrix(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+# near-valid fields alongside arbitrary ones, so that some files load
+numbers = st.integers() | st.floats()
+matrix_files = json_values | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["dense", "angle"]) | json_values},
+    optional={
+        "rows": st.integers(1, 2) | json_values,
+        "cols": st.integers(1, 2) | json_values,
+        "data": st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=4) | json_values,
+        "theta": st.lists(numbers, max_size=3) | json_values,
+        "phi": st.lists(numbers, max_size=3) | json_values,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=matrix_files)
+def test_any_json_value_loads_or_raises_matrix_format_error(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("any") / "m.json"
+    path.write_text(json.dumps(payload))
+    try:
+        read_matrix(path)
+    except MatrixFormatError:
+        pass
+
+
+def test_integer_beyond_the_digit_limit_is_a_format_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "angle", "theta": [' + "1" * 5000 + '], "phi": [0.0]}')
+    with pytest.raises(MatrixFormatError, match="Exceeds the limit"):
         read_matrix(path)
 
 
