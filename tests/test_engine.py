@@ -261,7 +261,7 @@ def _flagless_rescale(x, row_phases, col_phases):
 def test_every_masked_route_raises_exactly_when_the_product_overflows(m, n, seed, share):
     # Shapes 1 to 17 reach the tails of numpy's SIMD loops. The base x has
     # uniform real and imaginary parts and its largest part at share * max;
-    # an entry with both parts near that has about sqrt(2) times its modulus,
+    # an entry with both parts near that has a modulus near sqrt(2) times it,
     # so a rotation can overflow it once share exceeds 1 / sqrt(2).
     # checked_pinv is replaced by x on the routes that solve, so that every
     # route masks the same base.
