@@ -49,6 +49,18 @@ class AngleMatrix:
         object.__setattr__(self, "theta", _phase_array(self.theta, "theta"))
         object.__setattr__(self, "phi", _phase_array(self.phi, "phi"))
 
+    @classmethod
+    def _wrap(cls, theta: np.ndarray, phi: np.ndarray) -> AngleMatrix:
+        """Trusted constructor for phase arrays that another AngleMatrix
+        already checked, or fresh negations of them: no copy and no re-check.
+        Each is made read-only, as __post_init__ does."""
+        theta.flags.writeable = False
+        phi.flags.writeable = False
+        out = cls.__new__(cls)
+        object.__setattr__(out, "theta", theta)
+        object.__setattr__(out, "phi", phi)
+        return out
+
     @property
     def rows(self) -> int:
         return self.theta.size
@@ -77,7 +89,7 @@ class AngleMatrix:
 
     def hermitian(self) -> AngleMatrix:
         """Conjugate transpose as a phase swap: an n-by-m angle matrix."""
-        return AngleMatrix(theta=-self.phi, phi=-self.theta)
+        return AngleMatrix._wrap(-self.phi, -self.theta)
 
     def phase_sum(self) -> float:
         """Sum of all row and column phases; defined for square shapes only."""
@@ -104,8 +116,8 @@ def gram(t: AngleMatrix, side: str) -> tuple[int, AngleMatrix]:
     over row-phase differences.
     """
     if side == "left":
-        return t.rows, AngleMatrix(theta=-t.phi, phi=t.phi)
+        return t.rows, AngleMatrix._wrap(-t.phi, t.phi)
     if side == "right":
-        return t.cols, AngleMatrix(theta=t.theta, phi=-t.theta)
+        return t.cols, AngleMatrix._wrap(t.theta, -t.theta)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 

@@ -10,6 +10,9 @@ scope and rejected.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +81,32 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
 _INVERSE_GATE_C = 10.0
 
 
+# From this order up, _inverse_gate forms XA on _worker while the caller
+# forms AX. Below it a thread hand-off costs more than it saves.
+_CONCURRENT_MIN_DIM = 96
+
+
+def _new_worker() -> None:
+    """One worker thread, started on the first submit. It calls numpy only:
+    the perfbench tracer keeps one span stack that is not thread-safe, so no
+    traced name (any module's __all__, DenseMatrix.__init__) may run on it."""
+    global _worker
+    _worker = concurrent.futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="phasealg-gate")
+
+
+_new_worker()
+# A forked child inherits the executor but not its thread, and would wait on
+# it for ever: the child gets an executor of its own.
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _identity_residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
+    """||left @ right - I||_F, with the product written into out."""
+    np.matmul(left, right, out=out)
+    out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
+    return np.linalg.norm(out)
+
+
 def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """(ratio, limit) of the residual gate for a candidate inverse x of a
     square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F)
@@ -90,17 +119,28 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     the ratio does not change under A -> sA, X -> X / s, it is taken of the
     exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing overflows.
     The candidate passes when ratio <= limit; a nan ratio fails.
+
+    From n = _CONCURRENT_MIN_DIM up, the two products run at the same time:
+    the caller forms AX while _worker forms XA. Each is still one whole BLAS
+    call on the same operands, so the ratio is bit for bit the sequential
+    one. The caller allocates both n-by-n outputs, so the worker allocates
+    nothing O(n^2) (an arena of its own would raise peak RSS); the worker
+    runs in a copy of the caller's context, which carries np.errstate; and
+    it calls numpy only (see _new_worker).
     """
     n = a.shape[0]
     e = core._exponent(a)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
         if e:
             a, x = core._scale2(a, -e), core._scale2(x, e)
-        ax = a @ x
-        xa = x @ a
-        ax.reshape(-1)[:: n + 1] -= 1.0
-        xa.reshape(-1)[:: n + 1] -= 1.0
-        residual = np.maximum(np.linalg.norm(ax), np.linalg.norm(xa))  # propagates nan
+        ax = np.empty((n, n), dtype=np.result_type(a, x))
+        xa = np.empty_like(ax)
+        if n >= _CONCURRENT_MIN_DIM:
+            xa_norm = _worker.submit(contextvars.copy_context().run, _identity_residual, x, a, xa)
+            ax_norm = _identity_residual(a, x, ax)
+            residual = np.maximum(ax_norm, xa_norm.result())  # propagates nan
+        else:
+            residual = np.maximum(_identity_residual(a, x, ax), _identity_residual(x, a, xa))
         ratio = float(2.0 * residual / (core._frobenius(a) * core._frobenius(x)))
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 

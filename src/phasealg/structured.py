@@ -92,7 +92,7 @@ def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix
     with the transposed mask, i.e. inverse(A) masked by the entrywise
     conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")
-    return _masked_pinv(checked_pinv(a.array), AngleMatrix(theta=t.phi, phi=t.theta))
+    return _masked_pinv(checked_pinv(a.array), AngleMatrix._wrap(t.phi, t.theta))
 
 
 def cofactor(a: DenseMatrix, i: int, j: int) -> complex:

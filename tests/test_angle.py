@@ -96,6 +96,23 @@ def test_hermitian_of_zero_phases_is_real_symmetric():
     assert np.array_equal(t.hermitian().materialize().array, np.ones((2, 2)))
 
 
+def test_derived_angle_matrices_skip_the_checks_but_stay_read_only():
+    # hermitian, gram and the transposed mask build on AngleMatrix._wrap:
+    # the same phases as the checked constructor, and every array read-only
+    t = AngleMatrix(theta=[0.3, -1.2, 7.0], phi=[0.1, 2.2])
+    derived = {
+        "hermitian": (t.hermitian(), -t.phi, -t.theta),
+        "gram-left": (gram(t, "left")[1], -t.phi, t.phi),
+        "gram-right": (gram(t, "right")[1], t.theta, -t.theta),
+        "transposed": (AngleMatrix._wrap(t.phi, t.theta), t.phi, t.theta),
+    }
+    for name, (d, theta, phi) in derived.items():
+        checked = AngleMatrix(theta=theta, phi=phi)
+        assert np.array_equal(d.theta, checked.theta) and np.array_equal(d.phi, checked.phi), name
+        assert not d.theta.flags.writeable and not d.phi.flags.writeable, name
+        assert d.theta.dtype == d.phi.dtype == np.float64, name
+
+
 def test_hadamard_inverse_transpose_cases():
     zero = AngleMatrix(theta=np.zeros(2), phi=np.zeros(3))
     assert np.allclose(hadamard_inverse_transpose(zero).array, np.ones((3, 2)), rtol=0, atol=1e-16)

@@ -1,5 +1,8 @@
 """Phase-update engine: precompute once, mask per update, benchmark both paths."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from phasealg import (
     run_benchmark,
 )
 from phasealg import core, engine, pseudo, structured
+from phasealg.cli import main
 from phasealg.core import checked_pinv, rescale
 from phasealg.engine import PrecomputedBase, _update_angles
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
@@ -148,6 +152,87 @@ def test_precompute_gate_checks_both_residuals(monkeypatch, entry):
     candidate = np.diag([1.0, 1 / s])
     candidate[entry] = 1e3 * np.finfo(np.float64).eps / s
     _assert_gate_rejects(monkeypatch, a, candidate)
+
+
+def _gate_base(kind: str, n: int) -> np.ndarray:
+    if kind == "graded":
+        return _graded(n, n, 1e8).array
+    random = draw_dense(stream_generator(n, 0), n, n).array
+    return 1e-300 * random if kind == "1e-300" else random
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "1e-300"])
+@pytest.mark.parametrize("n", [96, 128, 256])
+def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
+    a = _gate_base(kind, n)
+    x = checked_pinv(a)
+    assert n >= pseudo._CONCURRENT_MIN_DIM
+    concurrent = pseudo._inverse_gate(a, x)
+    monkeypatch.setattr(pseudo, "_CONCURRENT_MIN_DIM", n + 1)
+    sequential = pseudo._inverse_gate(a, x)
+    assert concurrent[0] < concurrent[1]
+    assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
+def test_concurrent_gate_checks_both_residuals(monkeypatch, entry):
+    # test_precompute_gate_checks_both_residuals at n = 128, where the caller
+    # forms AX and the worker XA: for A = diag(1, s, 1, ..., 1) an error d at
+    # X[1, 0] is s d in AX - I and d in XA - I, and at X[0, 1] the two swap.
+    # With ||A||_F = sqrt(n - 1) and ||X||_F about 1 / s, the larger scores
+    # about 4000 n u, the smaller about 4e-3 n u.
+    n, s = 128, 2.0 ** -20
+    diagonal = np.ones(n)
+    diagonal[1] = s
+    candidate = np.diag(1 / diagonal)
+    candidate[entry] = 1e3 * n * np.finfo(np.float64).eps * np.sqrt(n - 1) / s
+    assert n >= pseudo._CONCURRENT_MIN_DIM
+    _assert_gate_rejects(monkeypatch, DenseMatrix(np.diag(diagonal)), candidate)
+
+
+def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
+    # Both products overflow. The worker runs in a copy of the caller's
+    # context, which carries np.errstate: without it, the worker's matmul
+    # warns, and under warnings as errors the gate raises RuntimeWarning
+    # instead of rejecting the candidate.
+    n = 128
+    assert n >= pseudo._CONCURRENT_MIN_DIM
+    a = draw_dense(stream_generator(3, 0), n, n)
+    _assert_gate_rejects(monkeypatch, a, np.full((n, n), 1e308))
+
+
+# Python 3.12 and later warn on any fork of a process with threads, which is
+# the case this test is about
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
+    # the fork copies the executor but not its thread; a child that waited
+    # on the parent's thread would never return, and the alarm ends it
+    n = 128
+    a = draw_dense(stream_generator(3, 0), n, n)
+    precompute(a)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(20)
+            code = 0 if precompute(a).shape == (n, n) else 1
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+class _NoWorker:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("the square gate's worker thread was reached")
+
+
+def test_below_the_concurrent_size_nothing_reaches_the_worker(monkeypatch, tmp_path):
+    monkeypatch.setattr(pseudo, "_worker", _NoWorker())
+    for rows, cols in ((64, 64), (pseudo._CONCURRENT_MIN_DIM - 1,) * 2, (192, 128), (128, 192)):
+        precompute(draw_well_conditioned(stream_generator(rows, 0), rows, cols))
+    # verify never reaches the gate: its shapes stay at most 64
+    assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "3",
+                 "--report", str(tmp_path / "all.json")]) == 0
 
 
 def test_apply_update_zero_phases_returns_base():
