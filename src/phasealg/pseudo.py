@@ -126,7 +126,8 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     one. The caller allocates both n-by-n outputs, so the worker allocates
     nothing O(n^2) (an arena of its own would raise peak RSS); the worker
     runs in a copy of the caller's context, which carries np.errstate; and
-    it calls numpy only (see _new_worker).
+    it calls numpy only (see _new_worker). The caller reads the worker's
+    result even when its own product raises.
     """
     n = a.shape[0]
     e = core._exponent(a)
@@ -136,11 +137,14 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         ax = np.empty((n, n), dtype=np.result_type(a, x))
         xa = np.empty_like(ax)
         if n >= _CONCURRENT_MIN_DIM:
-            xa_norm = _worker.submit(contextvars.copy_context().run, _identity_residual, x, a, xa)
-            ax_norm = _identity_residual(a, x, ax)
-            residual = np.maximum(ax_norm, xa_norm.result())  # propagates nan
+            future = _worker.submit(contextvars.copy_context().run, _identity_residual, x, a, xa)
+            try:
+                ax_norm = _identity_residual(a, x, ax)
+            finally:
+                xa_norm = future.result()
         else:
-            residual = np.maximum(_identity_residual(a, x, ax), _identity_residual(x, a, xa))
+            ax_norm, xa_norm = _identity_residual(a, x, ax), _identity_residual(x, a, xa)
+        residual = np.maximum(ax_norm, xa_norm)  # propagates nan
         ratio = float(2.0 * residual / (core._frobenius(a) * core._frobenius(x)))
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 

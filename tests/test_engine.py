@@ -2,6 +2,8 @@
 
 import os
 import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -219,6 +221,33 @@ def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
         finally:
             os._exit(code)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def test_concurrent_callers_of_the_gate_each_get_their_own_ratio():
+    # more caller threads than cores share the one worker, with a short
+    # switch interval; each call owns its buffers, so every ratio must equal
+    # the one taken alone
+    n, callers, calls = 128, 4, 5
+    bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
+    inverses = [checked_pinv(b) for b in bases]
+    alone = [pseudo._inverse_gate(b, x) for b, x in zip(bases, inverses)]
+    results = {}
+
+    def call(k):
+        results[k] = [pseudo._inverse_gate(bases[k], inverses[k]) for _ in range(calls)]
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[k] == [alone[k]] * calls for k in range(callers))
 
 
 class _NoWorker:
