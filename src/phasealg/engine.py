@@ -60,7 +60,7 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     as the four normwise-relative Penrose residuals. LAPACK inverses of
     graded bases up to condition 1e12 score at most 0.42 n u at n = 30 and
     0.07 n u at n = 256 against the limit 10 n u; an X perturbed by a
-    relative 1e-6 scores above 4e6 n u. From n = 96
+    relative 1e-6 scores above 4e6 n u. From n = 80
     (pseudo._CONCURRENT_MIN_DIM) up, the gate forms XA on one worker thread
     while the caller forms AX, with bit-identical results (see there); a
     smaller base never reaches the worker. A tall or wide base's

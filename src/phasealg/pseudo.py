@@ -10,9 +10,9 @@ scope and rejected.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextvars
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,23 +81,47 @@ def penrose_check(a: DenseMatrix, x: DenseMatrix) -> PenroseReport:
 _INVERSE_GATE_C = 10.0
 
 
-# From this order up, _inverse_gate forms XA on _worker while the caller
-# forms AX. Below it a thread hand-off costs more than it saves.
-_CONCURRENT_MIN_DIM = 96
+# From this order up, _inverse_gate forms XA on the worker thread while the
+# caller forms AX. With one BLAS thread on 2 vCPUs (timeit, random complex
+# bases), the two-thread gate against the sequential one reads 94 against
+# 79 us at n = 64, 102 against 97 at 72, 104 against 111 at 76 and 111
+# against 123 at 80: the hand-off costs about 30 us, and 80 is the first
+# order where it saves a tenth.
+_CONCURRENT_MIN_DIM = 80
+
+_worker = None  # made by _submit on the first concurrent gate
+_worker_lock = threading.Lock()
 
 
-def _new_worker() -> None:
-    """One worker thread, started on the first submit. It calls numpy only:
-    the perfbench tracer keeps one span stack that is not thread-safe, so no
+def _forget_worker() -> None:
+    """A forked child inherits the executor but not its thread, and would
+    wait on it for ever: the child makes an executor of its own."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _submit(fn, *args):
+    """fn(*args) on the gate's one worker thread, in a copy of the caller's
+    context; None when no thread can take it. During interpreter shutdown,
+    atexit handlers included, concurrent.futures refuses new work and its
+    thread module cannot even be imported: both raise RuntimeError.
+    concurrent.futures is imported here, so a process that never reaches a
+    concurrent gate never loads it. The worker calls numpy only: the
+    perfbench tracer keeps one span stack that is not thread-safe, so no
     traced name (any module's __all__, DenseMatrix.__init__) may run on it."""
     global _worker
-    _worker = concurrent.futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="phasealg-gate")
+    try:
+        with _worker_lock:
+            if _worker is None:
+                from concurrent.futures import ThreadPoolExecutor
 
-
-_new_worker()
-# A forked child inherits the executor but not its thread, and would wait on
-# it for ever: the child gets an executor of its own.
-os.register_at_fork(after_in_child=_new_worker)
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phasealg-gate")
+        return _worker.submit(contextvars.copy_context().run, fn, *args)
+    except RuntimeError:
+        return None
 
 
 def _identity_residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
@@ -121,13 +145,16 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     The candidate passes when ratio <= limit; a nan ratio fails.
 
     From n = _CONCURRENT_MIN_DIM up, the two products run at the same time:
-    the caller forms AX while _worker forms XA. Each is still one whole BLAS
-    call on the same operands, so the ratio is bit for bit the sequential
-    one. The caller allocates both n-by-n outputs, so the worker allocates
-    nothing O(n^2) (an arena of its own would raise peak RSS); the worker
-    runs in a copy of the caller's context, which carries np.errstate; and
-    it calls numpy only (see _new_worker). The caller reads the worker's
-    result even when its own product raises.
+    the caller forms AX while the worker thread forms XA (_submit). Each is
+    still one whole BLAS call on the same operands, so the ratio is bit for
+    bit the sequential one. The caller allocates both n-by-n outputs, so the
+    worker allocates nothing O(n^2) (an arena of its own would raise peak
+    RSS); the worker runs in a copy of the caller's context, which carries
+    np.errstate; and it calls numpy only. When the caller's product raises,
+    it waits for the worker and raises its own error. When no worker can
+    take XA (interpreter shutdown), the caller forms both. The gain needs a
+    free core: at OpenBLAS's default thread count the two products contend,
+    and the gate at 256 x 256 is about 2 % slower than the sequential one.
     """
     n = a.shape[0]
     e = core._exponent(a)
@@ -136,14 +163,14 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
             a, x = core._scale2(a, -e), core._scale2(x, e)
         ax = np.empty((n, n), dtype=np.result_type(a, x))
         xa = np.empty_like(ax)
-        if n >= _CONCURRENT_MIN_DIM:
-            future = _worker.submit(contextvars.copy_context().run, _identity_residual, x, a, xa)
-            try:
-                ax_norm = _identity_residual(a, x, ax)
-            finally:
-                xa_norm = future.result()
-        else:
-            ax_norm, xa_norm = _identity_residual(a, x, ax), _identity_residual(x, a, xa)
+        future = _submit(_identity_residual, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
+        try:
+            ax_norm = _identity_residual(a, x, ax)
+        except BaseException:
+            if future is not None:
+                future.exception()  # the worker still writes xa: wait, then raise the caller's error
+            raise
+        xa_norm = _identity_residual(x, a, xa) if future is None else future.result()
         residual = np.maximum(ax_norm, xa_norm)  # propagates nan
         ratio = float(2.0 * residual / (core._frobenius(a) * core._frobenius(x)))
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import subprocess
 import sys
 import threading
 
@@ -144,16 +145,23 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
         _assert_gate_rejects(monkeypatch, a, candidate)
 
 
-@pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
-def test_precompute_gate_checks_both_residuals(monkeypatch, entry):
-    # for A = diag(1, s), an error d at X[1, 0] is s d in AX - I and d in
-    # XA - I; at X[0, 1] the two swap. The larger one scores about 2000 n u,
-    # the smaller about 2e-3 n u.
+@pytest.mark.parametrize("n, entry", [
+    pytest.param(2, (1, 0), id="entry0"),
+    pytest.param(2, (0, 1), id="entry1"),
+    pytest.param(128, (1, 0), id="n128-entry0"),
+    pytest.param(128, (0, 1), id="n128-entry1"),
+])
+def test_precompute_gate_checks_both_residuals(monkeypatch, n, entry):
+    # for A = diag(1, s, 1, ..., 1), an error d at X[1, 0] is s d in AX - I
+    # and d in XA - I; at X[0, 1] the two swap. At n = 128 the caller forms
+    # AX and the worker XA. With ||A||_F about sqrt(n - 1) and ||X||_F about
+    # 1 / s, the larger scores about 4000 n u, the smaller about 4e-3 n u.
     s = 2.0 ** -20
-    a = DenseMatrix(np.diag([1.0, s]))
-    candidate = np.diag([1.0, 1 / s])
-    candidate[entry] = 1e3 * np.finfo(np.float64).eps / s
-    _assert_gate_rejects(monkeypatch, a, candidate)
+    diagonal = np.ones(n)
+    diagonal[1] = s
+    candidate = np.diag(1 / diagonal)
+    candidate[entry] = 1e3 * n * np.finfo(np.float64).eps * np.sqrt(n - 1) / s
+    _assert_gate_rejects(monkeypatch, DenseMatrix(np.diag(diagonal)), candidate)
 
 
 def _gate_base(kind: str, n: int) -> np.ndarray:
@@ -176,22 +184,6 @@ def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, 
     assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
 
 
-@pytest.mark.parametrize("entry", [(1, 0), (0, 1)])
-def test_concurrent_gate_checks_both_residuals(monkeypatch, entry):
-    # test_precompute_gate_checks_both_residuals at n = 128, where the caller
-    # forms AX and the worker XA: for A = diag(1, s, 1, ..., 1) an error d at
-    # X[1, 0] is s d in AX - I and d in XA - I, and at X[0, 1] the two swap.
-    # With ||A||_F = sqrt(n - 1) and ||X||_F about 1 / s, the larger scores
-    # about 4000 n u, the smaller about 4e-3 n u.
-    n, s = 128, 2.0 ** -20
-    diagonal = np.ones(n)
-    diagonal[1] = s
-    candidate = np.diag(1 / diagonal)
-    candidate[entry] = 1e3 * n * np.finfo(np.float64).eps * np.sqrt(n - 1) / s
-    assert n >= pseudo._CONCURRENT_MIN_DIM
-    _assert_gate_rejects(monkeypatch, DenseMatrix(np.diag(diagonal)), candidate)
-
-
 def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
     # Both products overflow. The worker runs in a copy of the caller's
     # context, which carries np.errstate: without it, the worker's matmul
@@ -201,6 +193,54 @@ def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
     assert n >= pseudo._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(3, 0), n, n)
     _assert_gate_rejects(monkeypatch, a, np.full((n, n), 1e308))
+
+
+def test_when_both_products_raise_the_callers_error_wins(monkeypatch):
+    # the caller still waits for the worker, which writes into the caller's
+    # buffer, but raises its own error, not the worker's
+    def residual(left, right, out):
+        raise ValueError(threading.current_thread().name)
+
+    monkeypatch.setattr(pseudo, "_identity_residual", residual)
+    a = draw_dense(stream_generator(3, 0), 128, 128).array
+    with pytest.raises(ValueError, match=f"^{threading.current_thread().name}$"):
+        pseudo._inverse_gate(a, a)
+
+
+def _run_python(code: str) -> str:
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0 and not result.stderr, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("before_exit", [0, 1])
+def test_a_gate_reached_during_interpreter_shutdown_forms_both_products(before_exit):
+    # concurrent.futures refuses new work before atexit handlers run, and
+    # cannot be imported there, so the gate has no worker, whether or not
+    # one ran before exit; an exception in the handler would only be
+    # printed, hence the check of stderr
+    out = _run_python(
+        "import atexit\n"
+        "from phasealg import precompute\n"
+        "from phasealg.generate import draw_dense, stream_generator\n"
+        "a = draw_dense(stream_generator(3, 0), 128, 128)\n"
+        f"for _ in range({before_exit}):\n"
+        "    precompute(a)\n"
+        "atexit.register(lambda: print(precompute(a).shape))\n"
+    )
+    assert out == "(128, 128)\n"
+
+
+def test_concurrent_futures_is_imported_by_the_first_concurrent_gate():
+    out = _run_python(
+        "import sys\n"
+        "from phasealg import precompute\n"
+        "from phasealg.generate import draw_dense, stream_generator\n"
+        "for n in (64, 128):\n"
+        "    precompute(draw_dense(stream_generator(3, 0), n, n))\n"
+        "    print(n, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert out == "64 False\n128 True\n"
 
 
 # Python 3.12 and later warn on any fork of a process with threads, which is
