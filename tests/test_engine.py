@@ -172,7 +172,7 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["random", "graded", "1e-300"])
-@pytest.mark.parametrize("n", [96, 128, 256])
+@pytest.mark.parametrize("n", [80, 96, 128, 256])
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
     a = _gate_base(kind, n)
     x = checked_pinv(a)
@@ -263,14 +263,15 @@ def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
-def test_concurrent_callers_of_the_gate_each_get_their_own_ratio():
-    # more caller threads than cores share the one worker, with a short
-    # switch interval; each call owns its buffers, so every ratio must equal
-    # the one taken alone
+def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
+    # more caller threads than cores make and share the one worker, with a
+    # short switch interval; each call owns its buffers, so every ratio must
+    # equal the one taken alone
     n, callers, calls = 128, 4, 5
     bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
     inverses = [checked_pinv(b) for b in bases]
     alone = [pseudo._inverse_gate(b, x) for b, x in zip(bases, inverses)]
+    monkeypatch.setattr(pseudo, "_worker", None)
     results = {}
 
     def call(k):
@@ -287,6 +288,7 @@ def test_concurrent_callers_of_the_gate_each_get_their_own_ratio():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    assert pseudo._worker is not None
     assert all(results[k] == [alone[k]] * calls for k in range(callers))
 
 
