@@ -176,10 +176,10 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
     a = _gate_base(kind, n)
     x = checked_pinv(a)
-    assert n >= pseudo._CONCURRENT_MIN_DIM
-    concurrent = pseudo._inverse_gate(a, x)
-    monkeypatch.setattr(pseudo, "_CONCURRENT_MIN_DIM", n + 1)
-    sequential = pseudo._inverse_gate(a, x)
+    assert n >= engine._CONCURRENT_MIN_DIM
+    concurrent = engine._inverse_gate(a, x)
+    monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", n + 1)
+    sequential = engine._inverse_gate(a, x)
     assert concurrent[0] < concurrent[1]
     assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
 
@@ -190,7 +190,7 @@ def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
     # warns, and under warnings as errors the gate raises RuntimeWarning
     # instead of rejecting the candidate.
     n = 128
-    assert n >= pseudo._CONCURRENT_MIN_DIM
+    assert n >= engine._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(3, 0), n, n)
     _assert_gate_rejects(monkeypatch, a, np.full((n, n), 1e308))
 
@@ -201,10 +201,10 @@ def test_when_both_products_raise_the_callers_error_wins(monkeypatch):
     def residual(left, right, out):
         raise ValueError(threading.current_thread().name)
 
-    monkeypatch.setattr(pseudo, "_identity_residual", residual)
+    monkeypatch.setattr(engine, "_identity_residual", residual)
     a = draw_dense(stream_generator(3, 0), 128, 128).array
     with pytest.raises(ValueError, match=f"^{threading.current_thread().name}$"):
-        pseudo._inverse_gate(a, a)
+        engine._inverse_gate(a, a)
 
 
 def _run_python(code: str) -> str:
@@ -270,12 +270,12 @@ def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
     n, callers, calls = 128, 4, 5
     bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
     inverses = [checked_pinv(b) for b in bases]
-    alone = [pseudo._inverse_gate(b, x) for b, x in zip(bases, inverses)]
-    monkeypatch.setattr(pseudo, "_worker", None)
+    alone = [engine._inverse_gate(b, x) for b, x in zip(bases, inverses)]
+    monkeypatch.setattr(engine, "_worker", None)
     results = {}
 
     def call(k):
-        results[k] = [pseudo._inverse_gate(bases[k], inverses[k]) for _ in range(calls)]
+        results[k] = [engine._inverse_gate(bases[k], inverses[k]) for _ in range(calls)]
 
     threads = [threading.Thread(target=call, args=(k,)) for k in range(callers)]
     interval = sys.getswitchinterval()
@@ -288,7 +288,7 @@ def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert pseudo._worker is not None
+    assert engine._worker is not None
     assert all(results[k] == [alone[k]] * calls for k in range(callers))
 
 
@@ -298,8 +298,8 @@ class _NoWorker:
 
 
 def test_below_the_concurrent_size_nothing_reaches_the_worker(monkeypatch, tmp_path):
-    monkeypatch.setattr(pseudo, "_worker", _NoWorker())
-    for rows, cols in ((64, 64), (pseudo._CONCURRENT_MIN_DIM - 1,) * 2, (192, 128), (128, 192)):
+    monkeypatch.setattr(engine, "_worker", _NoWorker())
+    for rows, cols in ((64, 64), (engine._CONCURRENT_MIN_DIM - 1,) * 2, (192, 128), (128, 192)):
         precompute(draw_well_conditioned(stream_generator(rows, 0), rows, cols))
     # verify never reaches the gate: its shapes stay at most 64
     assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "3",
