@@ -5,7 +5,6 @@ per-update refactorization.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import statistics
 import threading
@@ -65,12 +64,12 @@ _INVERSE_GATE_C = 10.0
 
 
 # From this order up, _inverse_gate forms XA on the worker thread while the
-# caller forms AX. With one BLAS thread on 2 vCPUs (timeit, random complex
-# bases), the two-thread gate against the sequential one reads 94 against
-# 79 us at n = 64, 102 against 97 at 72, 104 against 111 at 76 and 111
-# against 123 at 80: the hand-off costs about 30 us, and 80 is the first
-# order where it saves a tenth.
-_CONCURRENT_MIN_DIM = 80
+# caller forms AX. With one BLAS thread on 2 vCPUs (timeit best of 15 x 3,
+# random complex bases, median of three sweeps), the two-thread gate against
+# the sequential one reads 101 against 79 us at n = 64, 125 against 122 at
+# 80, 171 against 184 at 96 and 179 against 207 at 100: the hand-off costs
+# about 20 to 30 us, and 100 is the first order where it saves a tenth.
+_CONCURRENT_MIN_DIM = 100
 
 _worker = None  # made by _submit on the first concurrent gate
 _worker_lock = threading.Lock()
@@ -87,14 +86,11 @@ os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _submit(fn, *args):
-    """fn(*args) on the gate's one worker thread, in a copy of the caller's
-    context; None when no thread can take it. During interpreter shutdown,
-    atexit handlers included, concurrent.futures refuses new work and its
-    thread module cannot even be imported: both raise RuntimeError.
-    concurrent.futures is imported here, so a process that never reaches a
-    concurrent gate never loads it. The worker calls numpy only: the
-    perfbench tracer keeps one span stack that is not thread-safe, so no
-    traced name (any module's __all__, DenseMatrix.__init__) may run on it."""
+    """fn(*args) on the gate's one worker thread; None when no thread can
+    take it. During interpreter shutdown, atexit handlers included,
+    concurrent.futures refuses new work and its thread module cannot even be
+    imported: both raise RuntimeError. concurrent.futures is imported here,
+    so a process that never reaches a concurrent gate never loads it."""
     global _worker
     try:
         with _worker_lock:
@@ -102,16 +98,23 @@ def _submit(fn, *args):
                 from concurrent.futures import ThreadPoolExecutor
 
                 _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phasealg-gate")
-        return _worker.submit(contextvars.copy_context().run, fn, *args)
+        return _worker.submit(fn, *args)
     except RuntimeError:
         return None
 
 
-def _identity_residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
-    """||left @ right - I||_F, with the product written into out."""
-    np.matmul(left, right, out=out)
-    out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
-    return np.linalg.norm(out)
+def _residual_and_norm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> tuple[float, float]:
+    """(||left @ right - I||_F, ||left||_F), with the product written into out.
+
+    The one task of either thread of the gate, so it sets its own
+    np.errstate (a non-finite residual fails the gate) and calls numpy and
+    core._frobenius only: the perfbench tracer keeps one span stack that is
+    not thread-safe, so no traced name (any module's __all__,
+    DenseMatrix.__init__) may run on the worker."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(left, right, out=out)
+        out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
+        return np.linalg.norm(out), core._frobenius(left)
 
 
 def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
@@ -128,16 +131,17 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     The candidate passes when ratio <= limit; a nan ratio fails.
 
     From n = _CONCURRENT_MIN_DIM up, the two products run at the same time:
-    the caller forms AX while the worker thread forms XA (_submit). Each is
-    still one whole BLAS call on the same operands, so the ratio is bit for
-    bit the sequential one. The caller allocates both n-by-n outputs, so the
-    worker allocates nothing O(n^2) (an arena of its own would raise peak
-    RSS); the worker runs in a copy of the caller's context, which carries
-    np.errstate; and it calls numpy only. When the caller's product raises,
-    it waits for the worker and raises its own error. When no worker can
-    take XA (interpreter shutdown), the caller forms both. The gain needs a
-    free core: at OpenBLAS's default thread count the two products contend,
-    and the gate at 256 x 256 is about 2 % slower than the sequential one.
+    the caller runs _residual_and_norm on (A, X, AX) while the worker thread
+    runs it on (X, A, XA) (_submit). Each product is still one whole BLAS
+    call on the same operands, and the ratio is formed from the same four
+    numbers in the same order, so it is bit for bit the sequential one. The
+    caller allocates both n-by-n outputs, so the worker allocates nothing
+    O(n^2) (an arena of its own would raise peak RSS). When the caller's
+    product raises, it waits for the worker and raises its own error. When
+    no worker can take XA (interpreter shutdown), the caller forms both.
+    The gain needs a free core: at OpenBLAS's default thread count the two
+    products contend, and the two-thread gate is about 8 % slower than the
+    sequential one at n = 100, 4 % at 128 and 1 % at 256.
     """
     n = a.shape[0]
     e = core._exponent(a)
@@ -146,33 +150,26 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
             a, x = core._scale2(a, -e), core._scale2(x, e)
         ax = np.empty((n, n), dtype=np.result_type(a, x))
         xa = np.empty_like(ax)
-        future = _submit(_identity_residual, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
+        future = _submit(_residual_and_norm, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
         try:
-            ax_norm = _identity_residual(a, x, ax)
+            ax_residual, a_norm = _residual_and_norm(a, x, ax)
         except BaseException:
             if future is not None:
                 future.exception()  # the worker still writes xa: wait, then raise the caller's error
             raise
-        xa_norm = _identity_residual(x, a, xa) if future is None else future.result()
-        residual = np.maximum(ax_norm, xa_norm)  # propagates nan
-        ratio = float(2.0 * residual / (core._frobenius(a) * core._frobenius(x)))
+        xa_residual, x_norm = _residual_and_norm(x, a, xa) if future is None else future.result()
+        residual = np.maximum(ax_residual, xa_residual)  # propagates nan
+        ratio = float(2.0 * residual / (a_norm * x_norm))
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it.
 
-    A square base's inverse X must pass _inverse_gate: two products,
-    AX and XA, against penrose_check's four, and a bound at least as strict
-    as the four normwise-relative Penrose residuals. LAPACK inverses of
-    graded bases up to condition 1e12 score at most 0.42 n u at n = 30 and
-    0.07 n u at n = 256 against the limit 10 n u; an X perturbed by a
-    relative 1e-6 scores above 4e6 n u. From n = 80
-    (_CONCURRENT_MIN_DIM) up, the gate forms XA on one worker thread
-    while the caller forms AX, with bit-identical results (see there); a
-    smaller base never reaches the worker. A tall or wide base's
-    pseudoinverse must pass penrose_check, on the caller's thread. A failure
-    raises RuntimeError ("internal consistency failure").
+    A square base's inverse must pass _inverse_gate, the one check behind
+    every update apply_update serves. A tall or wide base's pseudoinverse
+    must pass penrose_check. A failure raises RuntimeError ("internal
+    consistency failure").
     """
     base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
     if a.rows == a.cols:

@@ -4,9 +4,12 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from phasealg import AngleMatrix, DenseMatrix, SingularMatrixError, identity, read_matrix, write_matrix
 from phasealg.cli import main
+from phasealg.core import DeterminantRangeError
+from phasealg.matio import MatrixFormatError
 
 
 def run_cli(*argv):
@@ -192,6 +195,27 @@ def test_masked_result_that_overflows_exits_3(tmp_path, capsys):
         assert run_cli(command, "--matrix", str(a_path), "--angle", str(t_path), "--out", str(out_path)) == 3
         assert capsys.readouterr().err == "error: result overflows float64: non-finite entry at (0, 0)\n"
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (SingularMatrixError("singular", pivot=0.0), 3),
+    (DeterminantRangeError("out of range", log_abs=1e3), 3),
+    (OverflowError("overflows"), 3),
+    (RuntimeError("internal"), 3),
+    (MatrixFormatError("malformed"), 2),
+    (ValueError("bad value"), 2),
+    (OSError("unreadable"), 2),
+], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_each_error_class_has_one_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr("phasealg.cli.det_structured", fail)
+    a_path, t_path = write_identity_pair(tmp_path)
+    assert run_cli("det", "--matrix", a_path, "--angle", t_path) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_dense_file_where_angle_expected_exits_2(tmp_path, capsys):

@@ -172,7 +172,7 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["random", "graded", "1e-300"])
-@pytest.mark.parametrize("n", [80, 96, 128, 256])
+@pytest.mark.parametrize("n", [100, 112, 128, 256])
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
     a = _gate_base(kind, n)
     x = checked_pinv(a)
@@ -185,10 +185,10 @@ def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, 
 
 
 def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
-    # Both products overflow. The worker runs in a copy of the caller's
-    # context, which carries np.errstate: without it, the worker's matmul
-    # warns, and under warnings as errors the gate raises RuntimeWarning
-    # instead of rejecting the candidate.
+    # Both products overflow. The task on either thread sets its own
+    # np.errstate: without it, the worker's matmul warns, and under warnings
+    # as errors the gate raises RuntimeWarning instead of rejecting the
+    # candidate.
     n = 128
     assert n >= engine._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(3, 0), n, n)
@@ -201,10 +201,42 @@ def test_when_both_products_raise_the_callers_error_wins(monkeypatch):
     def residual(left, right, out):
         raise ValueError(threading.current_thread().name)
 
-    monkeypatch.setattr(engine, "_identity_residual", residual)
+    monkeypatch.setattr(engine, "_residual_and_norm", residual)
     a = draw_dense(stream_generator(3, 0), 128, 128).array
     with pytest.raises(ValueError, match=f"^{threading.current_thread().name}$"):
         engine._inverse_gate(a, a)
+
+
+def test_an_error_on_the_worker_alone_reaches_the_caller(monkeypatch):
+    residual_and_norm = engine._residual_and_norm
+
+    def residual(left, right, out):
+        if threading.current_thread().name.startswith("phasealg-gate"):
+            raise ValueError("worker failed")
+        return residual_and_norm(left, right, out)
+
+    monkeypatch.setattr(engine, "_residual_and_norm", residual)
+    a = draw_dense(stream_generator(3, 0), 128, 128).array
+    with pytest.raises(ValueError, match="^worker failed$"):
+        engine._inverse_gate(a, checked_pinv(a))
+
+
+class _ShutDownWorker:
+    def submit(self, *args, **kwargs):
+        raise RuntimeError("cannot schedule new futures after interpreter shutdown")
+
+
+def test_a_gate_without_a_worker_forms_both_products_with_the_same_bits(monkeypatch):
+    # the in-process twin of the interpreter-shutdown tests below
+    n = 128
+    assert n >= engine._CONCURRENT_MIN_DIM
+    a = draw_dense(stream_generator(n, 0), n, n).array
+    x = checked_pinv(a)
+    concurrent = engine._inverse_gate(a, x)
+    monkeypatch.setattr(engine, "_worker", _ShutDownWorker())
+    alone = engine._inverse_gate(a, x)
+    assert concurrent[0] < concurrent[1]
+    assert np.array(concurrent).tobytes() == np.array(alone).tobytes()
 
 
 def _run_python(code: str) -> str:
@@ -373,7 +405,7 @@ def test_apply_update_still_rejects_an_overflowing_base():
         apply_update(base, AngleMatrix(theta=[np.pi / 4], phi=[0.0]))
 
 
-def test_precomputed_base_derives_shape_and_bound(monkeypatch):
+def test_precomputed_base_derives_shape_and_finite_updates_skip_the_scan(monkeypatch):
     # no update that stays finite is scanned, at max / 8 or just above it:
     # only an overflow flag raised in rescale's multiplies leads to a scan
     pinv = draw_dense(stream_generator(173, 0), 3, 2).array  # the pseudoinverse of a 2x3 base
