@@ -235,12 +235,25 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide, taken of
     A * 2^-e and scaled back by 2^-e (_exponent). Rejected as singular when
     the one system S inverted has 1 / (||S||_F ||S^-1||_F) <= RANK_EPS, or
-    when the result does not fit in float64. Counts one factorization."""
+    when the result does not fit in float64. Counts one factorization.
+
+    Two phases: _prescaled_inverse, then _accept_inverse. engine.precompute
+    runs the first alone for a square base and fuses the second's condition
+    test into its set-up gate."""
+    return _accept_inverse(*_prescaled_inverse(a))
+
+
+def _prescaled_inverse(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
+    """checked_pinv's first phase: (e, S, inv(S), A_s^H), with e = _exponent(a),
+    A_s = a * 2^-e and S = A_s when square (A_s^H is then None), A_s^H A_s
+    when tall and A_s A_s^H when wide. LAPACK's LinAlgError (an exactly zero
+    pivot) raises SingularMatrixError with pivot 0. Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
     e = _exponent(a)
     a = _scale2(a, -e) if e else a
+    adjoint = None
     if m == n:
         system = a
     else:
@@ -250,21 +263,35 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
+    return e, system, inv, adjoint
+
+
+def _accept_inverse(e: int, system: np.ndarray, inv: np.ndarray, adjoint: np.ndarray | None) -> np.ndarray:
+    """checked_pinv's second phase on _prescaled_inverse's result: the
+    pseudoinverse's product with A_s^H, the scale back by 2^-e and the
+    condition test (_require_condition), where entries that do not fit in
+    float64 make the reciprocal condition 0."""
     reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
-    if reciprocal_condition > RANK_EPS and m != n:
-        inv = inv @ adjoint if m > n else adjoint @ inv
+    if reciprocal_condition > RANK_EPS and adjoint is not None:
+        inv = inv @ adjoint if adjoint.shape[0] < adjoint.shape[1] else adjoint @ inv  # A_s^H is wide when A is tall
     if e:
         with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
             inv = _scale2(inv, -e)
         if not np.isfinite(inv).all():
             reciprocal_condition = 0.0
-    if not reciprocal_condition > RANK_EPS:  # also rejects nan from non-finite inverse entries
+    _require_condition(reciprocal_condition)
+    return inv
+
+
+def _require_condition(reciprocal_condition: float) -> None:
+    """SingularMatrixError unless reciprocal_condition > RANK_EPS; nan, from
+    non-finite inverse entries, fails too."""
+    if not reciprocal_condition > RANK_EPS:
         raise SingularMatrixError(
             f"matrix is singular to working precision: reciprocal condition "
             f"{reciprocal_condition:.3e} <= threshold {RANK_EPS:.3e}",
             pivot=reciprocal_condition,
         )
-    return inv
 
 
 def slogdet(a: np.ndarray) -> tuple[complex, float]:

@@ -64,12 +64,13 @@ _INVERSE_GATE_C = 10.0
 
 
 # From this order up, _inverse_gate forms XA on the worker thread while the
-# caller forms AX. With one BLAS thread on 2 vCPUs (timeit best of 15 x 3,
-# random complex bases, median of three sweeps), the two-thread gate against
-# the sequential one reads 101 against 79 us at n = 64, 125 against 122 at
-# 80, 171 against 184 at 96 and 179 against 207 at 100: the hand-off costs
-# about 20 to 30 us, and 100 is the first order where it saves a tenth.
-_CONCURRENT_MIN_DIM = 100
+# caller forms the norms and AX. The worker idles through the inverse, and
+# waking it costs more the longer it slept. With one BLAS thread on 2 vCPUs
+# (median of 56 precompute calls, random complex bases, six sweeps),
+# two-thread set-up against sequential reads +5 % at n = 128, -0.5 to +0.2 %
+# at 148 and +0.1 to -2.6 % at 152; 156 is the first order that every sweep
+# reads faster (-1.5 to -2.5 %), and 192 saves a tenth.
+_CONCURRENT_MIN_DIM = 156
 
 _worker = None  # made by _submit on the first concurrent gate
 _worker_lock = threading.Lock()
@@ -103,88 +104,105 @@ def _submit(fn, *args):
         return None
 
 
-def _residual_and_norm(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> tuple[float, float]:
-    """(||left @ right - I||_F, ||left||_F), with the product written into out.
+def _residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
+    """||left @ right - I||_F, with the product written into out.
 
-    The one task of either thread of the gate, so it sets its own
-    np.errstate (a non-finite residual fails the gate) and calls numpy and
-    core._frobenius only: the perfbench tracer keeps one span stack that is
-    not thread-safe, so no traced name (any module's __all__,
-    DenseMatrix.__init__) may run on the worker."""
+    The one task of the gate's worker, so it sets its own np.errstate (a
+    non-finite residual fails the gate) and calls numpy only: the perfbench
+    tracer keeps one span stack that is not thread-safe, so no traced name
+    (any module's __all__, DenseMatrix.__init__) may run on the worker."""
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(left, right, out=out)
         out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
-        return np.linalg.norm(out), core._frobenius(left)
+        return np.linalg.norm(out)
 
 
-def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """(ratio, limit) of the residual gate for a candidate inverse x of a
-    square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F)
-    and limit = c * n * u, with u = eps / 2.
+def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
+    """(ratio, limit, norms) of the residual gate for a candidate inverse x
+    of a square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / norms, with
+    norms = ||A||_F ||X||_F, and limit = c * n * u, with u = eps / 2.
 
     Two products instead of penrose_check's four, and at least as strict as
     the four normwise-relative Penrose residuals: with E = AX - I and
     F = XA - I, ||AXA - A|| <= ||E|| ||A||, ||XAX - X|| <= ||X|| ||E||, and
-    the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. As
-    the ratio does not change under A -> sA, X -> X / s, it is taken of the
-    exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing overflows.
-    The candidate passes when ratio <= limit; a nan ratio fails.
+    the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. The
+    ratio does not change under A -> sA, X -> X / s, so precompute gives
+    the pair in the prescaled frame (A * 2^-e, X * 2^e) (core._exponent),
+    where nothing overflows; norms is then also the denominator of its
+    condition test. The candidate passes when ratio <= limit; a nan ratio
+    fails.
 
-    From n = _CONCURRENT_MIN_DIM up, the two products run at the same time:
-    the caller runs _residual_and_norm on (A, X, AX) while the worker thread
-    runs it on (X, A, XA) (_submit). Each product is still one whole BLAS
-    call on the same operands, and the ratio is formed from the same four
+    From n = _CONCURRENT_MIN_DIM up, the worker thread forms XA and its
+    residual (_residual, submitted first by _submit), while the caller
+    takes both norms and then forms AX. Each product is still one whole
+    BLAS call on the same operands, and the ratio is formed from the same
     numbers in the same order, so it is bit for bit the sequential one. The
     caller allocates both n-by-n outputs, so the worker allocates nothing
     O(n^2) (an arena of its own would raise peak RSS). When the caller's
-    product raises, it waits for the worker and raises its own error. When
-    no worker can take XA (interpreter shutdown), the caller forms both.
+    work raises, it waits for the worker and raises its own error. When no
+    worker can take XA (interpreter shutdown), the caller forms both.
     The gain needs a free core: at OpenBLAS's default thread count the two
-    products contend, and the two-thread gate is about 8 % slower than the
-    sequential one at n = 100, 4 % at 128 and 1 % at 256.
+    products contend, and precompute with the two-thread gate is slower
+    than with the sequential one, by about 2.5 % at n = 156, 1.5 % at 192
+    and 0.7 % at 256.
     """
     n = a.shape[0]
-    e = core._exponent(a)
+    ax = np.empty((n, n), dtype=np.result_type(a, x))
+    xa = np.empty_like(ax)
+    future = _submit(_residual, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
-        if e:
-            a, x = core._scale2(a, -e), core._scale2(x, e)
-        ax = np.empty((n, n), dtype=np.result_type(a, x))
-        xa = np.empty_like(ax)
-        future = _submit(_residual_and_norm, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
         try:
-            ax_residual, a_norm = _residual_and_norm(a, x, ax)
+            norms = core._frobenius(a) * core._frobenius(x)
+            ax_residual = _residual(a, x, ax)
         except BaseException:
             if future is not None:
                 future.exception()  # the worker still writes xa: wait, then raise the caller's error
             raise
-        xa_residual, x_norm = _residual_and_norm(x, a, xa) if future is None else future.result()
+        xa_residual = _residual(x, a, xa) if future is None else future.result()
         residual = np.maximum(ax_residual, xa_residual)  # propagates nan
-        ratio = float(2.0 * residual / (a_norm * x_norm))
-    return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
+        ratio = float(2.0 * residual / norms)
+    return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2), norms
 
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it.
 
-    A square base's inverse must pass _inverse_gate, the one check behind
-    every update apply_update serves. A tall or wide base's pseudoinverse
-    must pass penrose_check. A failure raises RuntimeError ("internal
-    consistency failure").
+    A tall or wide base's pseudoinverse comes from checked_pinv and must
+    pass penrose_check. A square base runs checked_pinv's two phases with
+    its set-up gate between them: core._prescaled_inverse once, then
+    _inverse_gate on the prescaled pair, whose norm product ||S||_F ||X||_F
+    is the denominator of both the gate ratio and the condition test
+    (core._require_condition), so the two norms are taken once. The
+    condition verdict (SingularMatrixError) is given before the gate's.
+    Out of the exponent band (e != 0) the inverse is first scaled back and
+    accepted as checked_pinv does (core._accept_inverse), and the gate
+    judges the stored base in the prescaled frame, (A * 2^-e, X * 2^e). An
+    accepted inverse is finite (an inf or nan entry makes the reciprocal
+    condition 0 or nan), so it is wrapped without a scan. The gate is the
+    one check behind every update apply_update serves. A failed gate or
+    Penrose check raises RuntimeError ("internal consistency failure").
     """
-    base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
-    if a.rows == a.cols:
-        ratio, limit = _inverse_gate(a.array, base_pinv.array)
-        if not ratio <= limit:
-            raise RuntimeError(
-                f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
-            )
-    else:
+    if a.rows != a.cols:
+        base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
         report = penrose_check(a, base_pinv)
         if not report.passed:
             raise RuntimeError(
                 f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
             )
-    return PrecomputedBase(base_pinv)
+        return PrecomputedBase(base_pinv)
+    prescaled = core._prescaled_inverse(a.array)
+    e, system, x, _ = prescaled
+    if e:
+        x = core._accept_inverse(*prescaled)
+        ratio, limit, _ = _inverse_gate(system, core._scale2(x, e))
+    else:
+        ratio, limit, norms = _inverse_gate(system, x)
+        core._require_condition(1.0 / norms)
+    if not ratio <= limit:
+        raise RuntimeError(
+            f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
+        )
+    return PrecomputedBase(DenseMatrix._wrap(x, proven_finite=True))
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:

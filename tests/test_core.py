@@ -395,12 +395,12 @@ LAPACK_SOLVERS = {"inv", "solve", "pinv", "slogdet", "det", "qr", "svd", "lstsq"
 
 # The only homes of each guarded call: a whole module, or a (module, function)
 # pair. LAPACK solvers stay on the production route in core, with inv in
-# checked_pinv alone; np.exp runs only in the one mask kernel of each route
-# (rescale, materialize), the determinant's rotation and lemma3's fixed 2x2
-# expected value.
+# checked_pinv's first phase (_prescaled_inverse) alone; np.exp runs only in
+# the one mask kernel of each route (rescale, materialize), the
+# determinant's rotation and lemma3's fixed 2x2 expected value.
 CALL_HOMES = {
     "numpy.linalg solver": {"core.py"},
-    "numpy.linalg.inv": {("core.py", "checked_pinv")},
+    "numpy.linalg.inv": {("core.py", "_prescaled_inverse")},
     "numpy.exp": {
         ("core.py", "rescale"),
         ("angle.py", "AngleMatrix.materialize"),

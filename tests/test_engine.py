@@ -1,6 +1,10 @@
 """Phase-update engine: precompute once, mask per update, benchmark both paths."""
 
+import functools
+import importlib
+import inspect
 import os
+import pkgutil
 import signal
 import subprocess
 import sys
@@ -28,6 +32,7 @@ from phasealg import (
     precompute,
     run_benchmark,
 )
+import phasealg
 from phasealg import core, engine, pseudo, structured
 from phasealg.cli import main
 from phasealg.core import checked_pinv, rescale
@@ -60,9 +65,23 @@ def test_precompute_rejects_rank_deficient():
         precompute(DenseMatrix([[1, 1], [2, 2], [3, 3]]))
 
 
+def _inject(monkeypatch, candidate: np.ndarray):
+    """precompute's square path takes candidate for LAPACK's inverse: the
+    prescaled inverse is replaced by candidate in the prescaled frame, and
+    the condition test is passed, as when checked_pinv was replaced whole."""
+    prescaled_inverse = core._prescaled_inverse
+
+    def seam(arr):
+        e, system, _, adjoint = prescaled_inverse(arr)
+        return e, system, core._scale2(np.array(candidate, dtype=np.complex128), e), adjoint
+
+    monkeypatch.setattr(core, "_prescaled_inverse", seam)
+    monkeypatch.setattr(core, "_require_condition", lambda reciprocal_condition: None)
+
+
 def _assert_gate_rejects(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
     """precompute(a) fails its square gate when LAPACK's inverse is replaced by candidate."""
-    monkeypatch.setattr(engine, "checked_pinv", lambda arr: np.array(candidate, dtype=np.complex128))
+    _inject(monkeypatch, candidate)
     with pytest.raises(RuntimeError, match=r"internal consistency failure: .*relative residual \S+ > \S+"):
         precompute(a)
 
@@ -139,7 +158,7 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
     a = DenseMatrix(np.eye(4))
     candidate = (1 + ulps * np.finfo(np.float64).eps) * np.eye(4)
     if passes:
-        monkeypatch.setattr(engine, "checked_pinv", lambda arr: candidate.astype(np.complex128))
+        _inject(monkeypatch, candidate)
         assert np.array_equal(precompute(a).base_pinv.array, candidate)
     else:
         _assert_gate_rejects(monkeypatch, a, candidate)
@@ -150,10 +169,12 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
     pytest.param(2, (0, 1), id="entry1"),
     pytest.param(128, (1, 0), id="n128-entry0"),
     pytest.param(128, (0, 1), id="n128-entry1"),
+    pytest.param(160, (1, 0), id="n160-entry0"),
+    pytest.param(160, (0, 1), id="n160-entry1"),
 ])
 def test_precompute_gate_checks_both_residuals(monkeypatch, n, entry):
     # for A = diag(1, s, 1, ..., 1), an error d at X[1, 0] is s d in AX - I
-    # and d in XA - I; at X[0, 1] the two swap. At n = 128 the caller forms
+    # and d in XA - I; at X[0, 1] the two swap. At n = 160 the caller forms
     # AX and the worker XA. With ||A||_F about sqrt(n - 1) and ||X||_F about
     # 1 / s, the larger scores about 4000 n u, the smaller about 4e-3 n u.
     s = 2.0 ** -20
@@ -162,6 +183,44 @@ def test_precompute_gate_checks_both_residuals(monkeypatch, n, entry):
     candidate = np.diag(1 / diagonal)
     candidate[entry] = 1e3 * n * np.finfo(np.float64).eps * np.sqrt(n - 1) / s
     _assert_gate_rejects(monkeypatch, DenseMatrix(np.diag(diagonal)), candidate)
+
+
+def _near_singular(kind: str, n: int) -> np.ndarray:
+    """A square base whose reciprocal condition is at most RANK_EPS. Graded
+    ones have a finite LAPACK inverse that passes the gate; at "1e-310" a
+    subnormal pivot makes the in-band inverse overflow, so the gate fails
+    on a nan ratio too."""
+    if kind == "1e-310":
+        a = np.eye(n, dtype=np.complex128)
+        a[0, 1], a[1, 1] = 1.0, 1e-310
+        return a
+    return _graded(n, n, float(kind)).array
+
+
+@pytest.mark.parametrize("kind", ["1e13", "1e20", "1e-310"])
+@pytest.mark.parametrize("n", [3, 160])
+def test_precompute_gives_the_condition_verdict_before_the_gate(n, kind):
+    # the gate's products run before the condition test decides, at n = 3 on
+    # the caller alone and at n = 160 on both threads; the verdict and its
+    # figures are checked_pinv's, never the gate's RuntimeError
+    a = _near_singular(kind, n)
+    assert core._exponent(a) == 0
+    with pytest.raises(SingularMatrixError) as expected:
+        checked_pinv(a)
+    with pytest.raises(SingularMatrixError) as raised:
+        precompute(DenseMatrix(a))
+    assert str(raised.value) == str(expected.value)
+    assert np.array([raised.value.pivot]).tobytes() == np.array([expected.value.pivot]).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_precompute_rejects_an_inverse_beyond_float64(n):
+    # (3e-309 B)^-1 has entries beyond float64 at both orders. The base is
+    # out of band, so the condition test runs before the gate, as in
+    # checked_pinv.
+    b = draw_well_conditioned(stream_generator(3, 0), n, n)
+    with pytest.raises(SingularMatrixError, match="reciprocal condition 0.000e\\+00"):
+        precompute(DenseMatrix(3e-309 * b.array))
 
 
 def _gate_base(kind: str, n: int) -> np.ndarray:
@@ -176,7 +235,7 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
     a = _gate_base(kind, n)
     x = checked_pinv(a)
-    assert n >= engine._CONCURRENT_MIN_DIM
+    monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", min(n, engine._CONCURRENT_MIN_DIM))
     concurrent = engine._inverse_gate(a, x)
     monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", n + 1)
     sequential = engine._inverse_gate(a, x)
@@ -189,7 +248,7 @@ def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
     # np.errstate: without it, the worker's matmul warns, and under warnings
     # as errors the gate raises RuntimeWarning instead of rejecting the
     # candidate.
-    n = 128
+    n = 160
     assert n >= engine._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(3, 0), n, n)
     _assert_gate_rejects(monkeypatch, a, np.full((n, n), 1e308))
@@ -201,22 +260,22 @@ def test_when_both_products_raise_the_callers_error_wins(monkeypatch):
     def residual(left, right, out):
         raise ValueError(threading.current_thread().name)
 
-    monkeypatch.setattr(engine, "_residual_and_norm", residual)
-    a = draw_dense(stream_generator(3, 0), 128, 128).array
+    monkeypatch.setattr(engine, "_residual", residual)
+    a = draw_dense(stream_generator(3, 0), 160, 160).array
     with pytest.raises(ValueError, match=f"^{threading.current_thread().name}$"):
         engine._inverse_gate(a, a)
 
 
 def test_an_error_on_the_worker_alone_reaches_the_caller(monkeypatch):
-    residual_and_norm = engine._residual_and_norm
+    worker_task = engine._residual
 
     def residual(left, right, out):
         if threading.current_thread().name.startswith("phasealg-gate"):
             raise ValueError("worker failed")
-        return residual_and_norm(left, right, out)
+        return worker_task(left, right, out)
 
-    monkeypatch.setattr(engine, "_residual_and_norm", residual)
-    a = draw_dense(stream_generator(3, 0), 128, 128).array
+    monkeypatch.setattr(engine, "_residual", residual)
+    a = draw_dense(stream_generator(3, 0), 160, 160).array
     with pytest.raises(ValueError, match="^worker failed$"):
         engine._inverse_gate(a, checked_pinv(a))
 
@@ -228,7 +287,7 @@ class _ShutDownWorker:
 
 def test_a_gate_without_a_worker_forms_both_products_with_the_same_bits(monkeypatch):
     # the in-process twin of the interpreter-shutdown tests below
-    n = 128
+    n = 160
     assert n >= engine._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(n, 0), n, n).array
     x = checked_pinv(a)
@@ -255,12 +314,12 @@ def test_a_gate_reached_during_interpreter_shutdown_forms_both_products(before_e
         "import atexit\n"
         "from phasealg import precompute\n"
         "from phasealg.generate import draw_dense, stream_generator\n"
-        "a = draw_dense(stream_generator(3, 0), 128, 128)\n"
+        "a = draw_dense(stream_generator(3, 0), 160, 160)\n"
         f"for _ in range({before_exit}):\n"
         "    precompute(a)\n"
         "atexit.register(lambda: print(precompute(a).shape))\n"
     )
-    assert out == "(128, 128)\n"
+    assert out == "(160, 160)\n"
 
 
 def test_concurrent_futures_is_imported_by_the_first_concurrent_gate():
@@ -268,11 +327,11 @@ def test_concurrent_futures_is_imported_by_the_first_concurrent_gate():
         "import sys\n"
         "from phasealg import precompute\n"
         "from phasealg.generate import draw_dense, stream_generator\n"
-        "for n in (64, 128):\n"
+        "for n in (64, 160):\n"
         "    precompute(draw_dense(stream_generator(3, 0), n, n))\n"
         "    print(n, 'concurrent.futures' in sys.modules)\n"
     )
-    assert out == "64 False\n128 True\n"
+    assert out == "64 False\n160 True\n"
 
 
 # Python 3.12 and later warn on any fork of a process with threads, which is
@@ -281,7 +340,7 @@ def test_concurrent_futures_is_imported_by_the_first_concurrent_gate():
 def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
     # the fork copies the executor but not its thread; a child that waited
     # on the parent's thread would never return, and the alarm ends it
-    n = 128
+    n = 160
     a = draw_dense(stream_generator(3, 0), n, n)
     precompute(a)
     pid = os.fork()
@@ -299,7 +358,7 @@ def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
     # more caller threads than cores make and share the one worker, with a
     # short switch interval; each call owns its buffers, so every ratio must
     # equal the one taken alone
-    n, callers, calls = 128, 4, 5
+    n, callers, calls = 160, 4, 5
     bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
     inverses = [checked_pinv(b) for b in bases]
     alone = [engine._inverse_gate(b, x) for b, x in zip(bases, inverses)]
@@ -336,6 +395,45 @@ def test_below_the_concurrent_size_nothing_reaches_the_worker(monkeypatch, tmp_p
     # verify never reaches the gate: its shapes stay at most 64
     assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "3",
                  "--report", str(tmp_path / "all.json")]) == 0
+
+
+def test_no_traced_name_runs_on_the_gate_worker(monkeypatch):
+    # The perfbench tracer keeps one span stack that is not thread-safe, so
+    # the worker may run no name it wraps: each function in a phasealg
+    # module's __all__, and cli.main, under every name a module holds it
+    # by, and three methods. Each wrapper here records its thread.
+    threads = []
+
+    def record(fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return fn(*args, **kwargs)
+        return recorded
+
+    modules = [importlib.import_module(f"phasealg.{info.name}")
+               for info in pkgutil.iter_modules(phasealg.__path__) if not info.name.startswith("_")]
+    wrapped = {}
+    for module in modules:
+        for attr in (*getattr(module, "__all__", ()), "main"):
+            fn = getattr(module, attr, None)
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                wrapped[fn] = record(fn)
+    for module in (*modules, phasealg):
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in wrapped:
+                monkeypatch.setattr(module, attr, wrapped[value])
+    for cls, method in ((DenseMatrix, "__init__"), (core.LUFactorization, "solve"), (AngleMatrix, "materialize")):
+        monkeypatch.setattr(cls, method, record(getattr(cls, method)))
+    tasks = []
+    worker_task = engine._residual
+    monkeypatch.setattr(engine, "_residual", lambda *args: tasks.append(threading.current_thread().name)
+                        or worker_task(*args))
+    for n in (160, 256):
+        assert n >= engine._CONCURRENT_MIN_DIM
+        phasealg.precompute(draw_dense(stream_generator(n, 0), n, n))
+    assert any(name.startswith("phasealg-gate") for name in tasks)
+    assert threads and not any(name.startswith("phasealg-gate") for name in threads)
 
 
 def test_apply_update_zero_phases_returns_base():

@@ -127,3 +127,33 @@ def test_bench_compare_parses_the_baseline_lines(bench_compare, monkeypatch):
     monkeypatch.setattr(bench_compare, "run_python", lambda checkout, argv: "something else\n")
     with pytest.raises(bench_compare.RunError, match="unexpected line"):
         bench_compare.run_baseline("checkout", 11)
+
+
+@pytest.fixture
+def setup_stages():
+    spec = importlib.util.spec_from_file_location("setup_stages", os.path.join(ROOT, "tools", "setup_stages.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [8, 160])
+def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, capsys, n):
+    # below engine._CONCURRENT_MIN_DIM the gate has no worker, and its stages print as "-"
+    from phasealg import core, engine
+
+    originals = core._prescaled_inverse, engine._submit
+    assert setup_stages.main(["--n", str(n), "--calls", "3"]) == 0
+    assert (core._prescaled_inverse, engine._submit) == originals
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"precompute {n}x{n}, median of 3 calls, OPENBLAS_NUM_THREADS=")
+    stages = {line[:20].strip(): line[20:].split() for line in lines[1:]}
+    assert list(stages) == list(setup_stages.STAGES)
+    worker = n >= engine._CONCURRENT_MIN_DIM
+    for stage, (value, unit) in stages.items():
+        assert unit == "ms"
+        if stage in ("prescaled inverse", "total") or worker:
+            assert float(value) >= 0.0
+        else:
+            assert value == "-"
+    assert float(stages["total"][0]) >= float(stages["prescaled inverse"][0])
