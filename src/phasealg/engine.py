@@ -119,18 +119,17 @@ def _residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
 
 def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
     """(ratio, limit, norms) of the residual gate for a candidate inverse x
-    of a square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / norms, with
-    norms = ||A||_F ||X||_F, and limit = c * n * u, with u = eps / 2.
+    of a square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / norms and
+    limit = c * n * u, with u = eps / 2. norms = ||A||_F ||X||_F is
+    returned for precompute's condition test.
 
     Two products instead of penrose_check's four, and at least as strict as
     the four normwise-relative Penrose residuals: with E = AX - I and
     F = XA - I, ||AXA - A|| <= ||E|| ||A||, ||XAX - X|| <= ||X|| ||E||, and
     the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. The
     ratio does not change under A -> sA, X -> X / s, so precompute gives
-    the pair in the prescaled frame (A * 2^-e, X * 2^e) (core._exponent),
-    where nothing overflows; norms is then also the denominator of its
-    condition test. The candidate passes when ratio <= limit; a nan ratio
-    fails.
+    the exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing
+    overflows. The candidate passes when ratio <= limit; a nan ratio fails.
 
     From n = _CONCURRENT_MIN_DIM up, the worker thread forms XA and its
     residual (_residual, submitted first by _submit), while the caller

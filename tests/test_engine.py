@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phasealg
 from phasealg import (
     AngleMatrix,
     DenseMatrix,
@@ -32,7 +33,6 @@ from phasealg import (
     precompute,
     run_benchmark,
 )
-import phasealg
 from phasealg import core, engine, pseudo, structured
 from phasealg.cli import main
 from phasealg.core import checked_pinv, rescale
@@ -235,6 +235,7 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
     a = _gate_base(kind, n)
     x = checked_pinv(a)
+    # the worker takes XA at every n here, also below the threshold
     monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", min(n, engine._CONCURRENT_MIN_DIM))
     concurrent = engine._inverse_gate(a, x)
     monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", n + 1)

@@ -1,10 +1,13 @@
-"""tools/bench_compare.py with the benchmark runs stubbed out."""
+"""The scripts in tools/: bench_compare.py with the benchmark runs stubbed out, and
+setup_stages.py on small bases."""
 
 import importlib.util
 import json
 import os
 
 import pytest
+
+from phasealg import core, engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as _handle:
@@ -140,8 +143,6 @@ def setup_stages():
 @pytest.mark.parametrize("n", [8, 160])
 def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, capsys, n):
     # below engine._CONCURRENT_MIN_DIM the gate has no worker, and its stages print as "-"
-    from phasealg import core, engine
-
     originals = core._prescaled_inverse, engine._submit
     assert setup_stages.main(["--n", str(n), "--calls", "3"]) == 0
     assert (core._prescaled_inverse, engine._submit) == originals
