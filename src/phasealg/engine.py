@@ -5,9 +5,7 @@ per-update refactorization.
 
 from __future__ import annotations
 
-import os
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -63,58 +61,11 @@ class PrecomputedBase:
 _INVERSE_GATE_C = 10.0
 
 
-# From this order up, _inverse_gate forms XA on the worker thread while the
-# caller forms the norms and AX. The worker idles through the inverse, and
-# waking it costs more the longer it slept. With one BLAS thread on 2 vCPUs
-# (median of 56 precompute calls, random complex bases, six sweeps),
-# two-thread set-up against sequential reads +5 % at n = 128, -0.5 to +0.2 %
-# at 148 and +0.1 to -2.6 % at 152; 156 is the first order that every sweep
-# reads faster (-1.5 to -2.5 %), and 192 saves a tenth.
-_CONCURRENT_MIN_DIM = 156
-
-_worker = None  # made by _submit on the first concurrent gate
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    """A forked child inherits the executor but not its thread, and would
-    wait on it for ever: the child makes an executor of its own."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _submit(fn, *args):
-    """fn(*args) on the gate's one worker thread; None when no thread can
-    take it. During interpreter shutdown, atexit handlers included,
-    concurrent.futures refuses new work and its thread module cannot even be
-    imported: both raise RuntimeError. concurrent.futures is imported here,
-    so a process that never reaches a concurrent gate never loads it."""
-    global _worker
-    try:
-        with _worker_lock:
-            if _worker is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phasealg-gate")
-        return _worker.submit(fn, *args)
-    except RuntimeError:
-        return None
-
-
 def _residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
-    """||left @ right - I||_F, with the product written into out.
-
-    The one task of the gate's worker, so it sets its own np.errstate (a
-    non-finite residual fails the gate) and calls numpy only: the perfbench
-    tracer keeps one span stack that is not thread-safe, so no traced name
-    (any module's __all__, DenseMatrix.__init__) may run on the worker."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(left, right, out=out)
-        out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
-        return np.linalg.norm(out)
+    """||left @ right - I||_F, with the product written into out."""
+    np.matmul(left, right, out=out)
+    out.reshape(-1)[:: out.shape[0] + 1] -= 1.0
+    return np.linalg.norm(out)
 
 
 def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
@@ -131,34 +82,14 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
     the exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing
     overflows. The candidate passes when ratio <= limit; a nan ratio fails.
 
-    From n = _CONCURRENT_MIN_DIM up, the worker thread forms XA and its
-    residual (_residual, submitted first by _submit), while the caller
-    takes both norms and then forms AX. Each product is still one whole
-    BLAS call on the same operands, and the ratio is formed from the same
-    numbers in the same order, so it is bit for bit the sequential one. The
-    caller allocates both n-by-n outputs, so the worker allocates nothing
-    O(n^2) (an arena of its own would raise peak RSS). When the caller's
-    work raises, it waits for the worker and raises its own error. When no
-    worker can take XA (interpreter shutdown), the caller forms both.
-    The gain needs a free core: at OpenBLAS's default thread count the two
-    products contend, and precompute with the two-thread gate is slower
-    than with the sequential one, by about 2.5 % at n = 156, 1.5 % at 192
-    and 0.7 % at 256.
+    Everything runs on the calling thread: both norms, then AX and then XA,
+    each one whole BLAS call written into the same n-by-n buffer.
     """
     n = a.shape[0]
-    ax = np.empty((n, n), dtype=np.result_type(a, x))
-    xa = np.empty_like(ax)
-    future = _submit(_residual, x, a, xa) if n >= _CONCURRENT_MIN_DIM else None
+    product = np.empty((n, n), dtype=np.result_type(a, x))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio fails the gate
-        try:
-            norms = core._frobenius(a) * core._frobenius(x)
-            ax_residual = _residual(a, x, ax)
-        except BaseException:
-            if future is not None:
-                future.exception()  # the worker still writes xa: wait, then raise the caller's error
-            raise
-        xa_residual = _residual(x, a, xa) if future is None else future.result()
-        residual = np.maximum(ax_residual, xa_residual)  # propagates nan
+        norms = core._frobenius(a) * core._frobenius(x)
+        residual = np.maximum(_residual(a, x, product), _residual(x, a, product))  # propagates nan
         ratio = float(2.0 * residual / norms)
     return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2), norms
 
@@ -168,7 +99,8 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
 
     A tall or wide base's pseudoinverse comes from checked_pinv and must
     pass penrose_check. A square base runs checked_pinv's two phases with
-    its set-up gate between them: core._prescaled_inverse once, then
+    its set-up gate between them, all on the calling thread:
+    core._prescaled_inverse once, then the exact two-product gate
     _inverse_gate on the prescaled pair, whose norm product ||S||_F ||X||_F
     is the denominator of both the gate ratio and the condition test
     (core._require_condition), so the two norms are taken once. The

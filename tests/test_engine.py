@@ -1,10 +1,6 @@
 """Phase-update engine: precompute once, mask per update, benchmark both paths."""
 
-import functools
-import importlib
-import inspect
 import os
-import pkgutil
 import signal
 import subprocess
 import sys
@@ -15,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import phasealg
 from phasealg import (
     AngleMatrix,
     DenseMatrix,
@@ -34,7 +29,6 @@ from phasealg import (
     run_benchmark,
 )
 from phasealg import core, engine, pseudo, structured
-from phasealg.cli import main
 from phasealg.core import checked_pinv, rescale
 from phasealg.engine import PrecomputedBase, _update_angles
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
@@ -174,9 +168,9 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
 ])
 def test_precompute_gate_checks_both_residuals(monkeypatch, n, entry):
     # for A = diag(1, s, 1, ..., 1), an error d at X[1, 0] is s d in AX - I
-    # and d in XA - I; at X[0, 1] the two swap. At n = 160 the caller forms
-    # AX and the worker XA. With ||A||_F about sqrt(n - 1) and ||X||_F about
-    # 1 / s, the larger scores about 4000 n u, the smaller about 4e-3 n u.
+    # and d in XA - I; at X[0, 1] the two swap. With ||A||_F about
+    # sqrt(n - 1) and ||X||_F about 1 / s, the larger scores about
+    # 4000 n u, the smaller about 4e-3 n u.
     s = 2.0 ** -20
     diagonal = np.ones(n)
     diagonal[1] = s
@@ -200,9 +194,9 @@ def _near_singular(kind: str, n: int) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["1e13", "1e20", "1e-310"])
 @pytest.mark.parametrize("n", [3, 160])
 def test_precompute_gives_the_condition_verdict_before_the_gate(n, kind):
-    # the gate's products run before the condition test decides, at n = 3 on
-    # the caller alone and at n = 160 on both threads; the verdict and its
-    # figures are checked_pinv's, never the gate's RuntimeError
+    # the gate's products run before the condition test decides; the
+    # verdict and its figures are checked_pinv's, never the gate's
+    # RuntimeError
     a = _near_singular(kind, n)
     assert core._exponent(a) == 0
     with pytest.raises(SingularMatrixError) as expected:
@@ -230,73 +224,50 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
     return 1e-300 * random if kind == "1e-300" else random
 
 
+def _on_two_threads(fn):
+    """fn() on the caller and on a second thread at once: both outcomes,
+    each fn's result or the exception it raised."""
+    outcomes = [None, None]
+
+    def run(k):
+        try:
+            outcomes[k] = fn()
+        except Exception as err:
+            outcomes[k] = err
+
+    thread = threading.Thread(target=run, args=(1,))
+    thread.start()
+    run(0)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return outcomes
+
+
 @pytest.mark.parametrize("kind", ["random", "graded", "1e-300"])
 @pytest.mark.parametrize("n", [100, 112, 128, 256])
-def test_concurrent_gate_is_bit_identical_to_the_sequential_one(monkeypatch, n, kind):
+def test_concurrent_gate_is_bit_identical_to_the_sequential_one(n, kind):
+    # two threads run the gate on the same pair at once; each call owns its
+    # buffer, so both equal the gate formed step by step on fresh arrays
     a = _gate_base(kind, n)
     x = checked_pinv(a)
-    # the worker takes XA at every n here, also below the threshold
-    monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", min(n, engine._CONCURRENT_MIN_DIM))
-    concurrent = engine._inverse_gate(a, x)
-    monkeypatch.setattr(engine, "_CONCURRENT_MIN_DIM", n + 1)
-    sequential = engine._inverse_gate(a, x)
-    assert concurrent[0] < concurrent[1]
-    assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
+    norms = core._frobenius(a) * core._frobenius(x)
+    residual = max(np.linalg.norm(a @ x - np.eye(n)), np.linalg.norm(x @ a - np.eye(n)))
+    sequential = (float(2.0 * residual / norms), engine._INVERSE_GATE_C * n * np.finfo(np.float64).eps / 2, norms)
+    assert sequential[0] < sequential[1]
+    for concurrent in _on_two_threads(lambda: engine._inverse_gate(a, x)):
+        assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
 
 
 def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
-    # Both products overflow. The task on either thread sets its own
-    # np.errstate: without it, the worker's matmul warns, and under warnings
-    # as errors the gate raises RuntimeWarning instead of rejecting the
-    # candidate.
+    # Both products overflow. The gate sets its own np.errstate, whichever
+    # thread runs it: without it, matmul warns, and under warnings as errors
+    # the gate raises RuntimeWarning instead of rejecting the candidate.
     n = 160
-    assert n >= engine._CONCURRENT_MIN_DIM
     a = draw_dense(stream_generator(3, 0), n, n)
-    _assert_gate_rejects(monkeypatch, a, np.full((n, n), 1e308))
-
-
-def test_when_both_products_raise_the_callers_error_wins(monkeypatch):
-    # the caller still waits for the worker, which writes into the caller's
-    # buffer, but raises its own error, not the worker's
-    def residual(left, right, out):
-        raise ValueError(threading.current_thread().name)
-
-    monkeypatch.setattr(engine, "_residual", residual)
-    a = draw_dense(stream_generator(3, 0), 160, 160).array
-    with pytest.raises(ValueError, match=f"^{threading.current_thread().name}$"):
-        engine._inverse_gate(a, a)
-
-
-def test_an_error_on_the_worker_alone_reaches_the_caller(monkeypatch):
-    worker_task = engine._residual
-
-    def residual(left, right, out):
-        if threading.current_thread().name.startswith("phasealg-gate"):
-            raise ValueError("worker failed")
-        return worker_task(left, right, out)
-
-    monkeypatch.setattr(engine, "_residual", residual)
-    a = draw_dense(stream_generator(3, 0), 160, 160).array
-    with pytest.raises(ValueError, match="^worker failed$"):
-        engine._inverse_gate(a, checked_pinv(a))
-
-
-class _ShutDownWorker:
-    def submit(self, *args, **kwargs):
-        raise RuntimeError("cannot schedule new futures after interpreter shutdown")
-
-
-def test_a_gate_without_a_worker_forms_both_products_with_the_same_bits(monkeypatch):
-    # the in-process twin of the interpreter-shutdown tests below
-    n = 160
-    assert n >= engine._CONCURRENT_MIN_DIM
-    a = draw_dense(stream_generator(n, 0), n, n).array
-    x = checked_pinv(a)
-    concurrent = engine._inverse_gate(a, x)
-    monkeypatch.setattr(engine, "_worker", _ShutDownWorker())
-    alone = engine._inverse_gate(a, x)
-    assert concurrent[0] < concurrent[1]
-    assert np.array(concurrent).tobytes() == np.array(alone).tobytes()
+    _inject(monkeypatch, np.full((n, n), 1e308))
+    for outcome in _on_two_threads(lambda: precompute(a)):
+        assert isinstance(outcome, RuntimeError), outcome
+        assert "precomputed inverse fails the residual gate" in str(outcome)
 
 
 def _run_python(code: str) -> str:
@@ -307,10 +278,9 @@ def _run_python(code: str) -> str:
 
 @pytest.mark.parametrize("before_exit", [0, 1])
 def test_a_gate_reached_during_interpreter_shutdown_forms_both_products(before_exit):
-    # concurrent.futures refuses new work before atexit handlers run, and
-    # cannot be imported there, so the gate has no worker, whether or not
-    # one ran before exit; an exception in the handler would only be
-    # printed, hence the check of stderr
+    # precompute at 160^2 works in an atexit handler, whether or not it ran
+    # before exit; an exception in the handler would only be printed, hence
+    # the check of stderr
     out = _run_python(
         "import atexit\n"
         "from phasealg import precompute\n"
@@ -323,24 +293,26 @@ def test_a_gate_reached_during_interpreter_shutdown_forms_both_products(before_e
     assert out == "(160, 160)\n"
 
 
-def test_concurrent_futures_is_imported_by_the_first_concurrent_gate():
+def test_precompute_starts_no_thread_and_loads_no_executor():
     out = _run_python(
-        "import sys\n"
+        "import sys, threading\n"
         "from phasealg import precompute\n"
         "from phasealg.generate import draw_dense, stream_generator\n"
-        "for n in (64, 160):\n"
-        "    precompute(draw_dense(stream_generator(3, 0), n, n))\n"
-        "    print(n, 'concurrent.futures' in sys.modules)\n"
+        "a = draw_dense(stream_generator(3, 0), 256, 256)\n"
+        "before = threading.active_count()\n"
+        "precompute(a)\n"
+        "print(threading.active_count() - before, 'concurrent.futures' in sys.modules)\n"
     )
-    assert out == "64 False\n160 True\n"
+    assert out == "0 False\n"
 
 
-# Python 3.12 and later warn on any fork of a process with threads, which is
-# the case this test is about
+# Python 3.12 and later warn on any fork of a process with threads, and
+# OpenBLAS at its default thread count keeps threads of its own
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
-    # the fork copies the executor but not its thread; a child that waited
-    # on the parent's thread would never return, and the alarm ends it
+def test_precompute_works_in_a_forked_child():
+    # the child of a process that has run precompute at 160^2 runs it too;
+    # a child that hung (on a lock or thread the fork did not copy) is ended
+    # by the alarm
     n = 160
     a = draw_dense(stream_generator(3, 0), n, n)
     precompute(a)
@@ -355,15 +327,13 @@ def test_a_child_forked_after_the_gate_ran_gets_its_own_worker():
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
-def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
-    # more caller threads than cores make and share the one worker, with a
-    # short switch interval; each call owns its buffers, so every ratio must
-    # equal the one taken alone
+def test_concurrent_callers_of_the_gate_each_get_their_own_ratio():
+    # more caller threads than cores, with a short switch interval; each
+    # call owns its buffer, so every ratio must equal the one taken alone
     n, callers, calls = 160, 4, 5
     bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
     inverses = [checked_pinv(b) for b in bases]
     alone = [engine._inverse_gate(b, x) for b, x in zip(bases, inverses)]
-    monkeypatch.setattr(engine, "_worker", None)
     results = {}
 
     def call(k):
@@ -380,61 +350,7 @@ def test_concurrent_callers_of_the_gate_each_get_their_own_ratio(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert engine._worker is not None
     assert all(results[k] == [alone[k]] * calls for k in range(callers))
-
-
-class _NoWorker:
-    def submit(self, *args, **kwargs):
-        raise AssertionError("the square gate's worker thread was reached")
-
-
-def test_below_the_concurrent_size_nothing_reaches_the_worker(monkeypatch, tmp_path):
-    monkeypatch.setattr(engine, "_worker", _NoWorker())
-    for rows, cols in ((64, 64), (engine._CONCURRENT_MIN_DIM - 1,) * 2, (192, 128), (128, 192)):
-        precompute(draw_well_conditioned(stream_generator(rows, 0), rows, cols))
-    # verify never reaches the gate: its shapes stay at most 64
-    assert main(["verify", "--suite", "all", "--trials", "2", "--seed", "3",
-                 "--report", str(tmp_path / "all.json")]) == 0
-
-
-def test_no_traced_name_runs_on_the_gate_worker(monkeypatch):
-    # The perfbench tracer keeps one span stack that is not thread-safe, so
-    # the worker may run no name it wraps: each function in a phasealg
-    # module's __all__, and cli.main, under every name a module holds it
-    # by, and three methods. Each wrapper here records its thread.
-    threads = []
-
-    def record(fn):
-        @functools.wraps(fn)
-        def recorded(*args, **kwargs):
-            threads.append(threading.current_thread().name)
-            return fn(*args, **kwargs)
-        return recorded
-
-    modules = [importlib.import_module(f"phasealg.{info.name}")
-               for info in pkgutil.iter_modules(phasealg.__path__) if not info.name.startswith("_")]
-    wrapped = {}
-    for module in modules:
-        for attr in (*getattr(module, "__all__", ()), "main"):
-            fn = getattr(module, attr, None)
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
-                wrapped[fn] = record(fn)
-    for module in (*modules, phasealg):
-        for attr, value in list(vars(module).items()):
-            if inspect.isfunction(value) and value in wrapped:
-                monkeypatch.setattr(module, attr, wrapped[value])
-    for cls, method in ((DenseMatrix, "__init__"), (core.LUFactorization, "solve"), (AngleMatrix, "materialize")):
-        monkeypatch.setattr(cls, method, record(getattr(cls, method)))
-    tasks = []
-    worker_task = engine._residual
-    monkeypatch.setattr(engine, "_residual", lambda *args: tasks.append(threading.current_thread().name)
-                        or worker_task(*args))
-    for n in (160, 256):
-        assert n >= engine._CONCURRENT_MIN_DIM
-        phasealg.precompute(draw_dense(stream_generator(n, 0), n, n))
-    assert any(name.startswith("phasealg-gate") for name in tasks)
-    assert threads and not any(name.startswith("phasealg-gate") for name in threads)
 
 
 def test_apply_update_zero_phases_returns_base():
