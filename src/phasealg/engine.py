@@ -17,7 +17,6 @@ from .core import (
     RESIDUAL_EPS,
     DenseMatrix,
     SingularMatrixError,
-    checked_pinv,
     hadamard_product,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
@@ -97,8 +96,12 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and sanity-check it.
 
-    A tall or wide base's pseudoinverse comes from checked_pinv and must
-    pass penrose_check. A square base runs checked_pinv's two phases with
+    A tall or wide base's pseudoinverse comes from checked_pinv's two
+    phases and must pass penrose_check; out of the exponent band (e != 0)
+    the check judges the stored base in the prescaled frame,
+    (A * 2^-e, X * 2^e), where no product overflows and the residuals meet
+    the limit RESIDUAL_EPS * (1 + ||A||_F) on its own scale. A square base
+    runs the two phases with
     its set-up gate between them, all on the calling thread:
     core._prescaled_inverse once, then the exact two-product gate
     _inverse_gate on the prescaled pair, whose norm product ||S||_F ||X||_F
@@ -113,16 +116,20 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     one check behind every update apply_update serves. A failed gate or
     Penrose check raises RuntimeError ("internal consistency failure").
     """
+    prescaled = core._prescaled_inverse(a.array)
+    e, system, x, _ = prescaled
     if a.rows != a.cols:
-        base_pinv = DenseMatrix._wrap(checked_pinv(a.array))
-        report = penrose_check(a, base_pinv)
+        base_pinv = DenseMatrix._wrap(core._accept_inverse(*prescaled))
+        if e:
+            report = penrose_check(DenseMatrix._wrap(core._scale2(a.array, -e)),
+                                   DenseMatrix._wrap(core._scale2(base_pinv.array, e)))
+        else:
+            report = penrose_check(a, base_pinv)
         if not report.passed:
             raise RuntimeError(
                 f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
             )
         return PrecomputedBase(base_pinv)
-    prescaled = core._prescaled_inverse(a.array)
-    e, system, x, _ = prescaled
     if e:
         x = core._accept_inverse(*prescaled)
         ratio, limit, _ = _inverse_gate(system, core._scale2(x, e))

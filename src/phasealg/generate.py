@@ -27,7 +27,7 @@ MAX_DRAW_ATTEMPTS = 128
 
 
 def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     if not (0 <= int(seed) <= MAX_SEED):
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")

@@ -111,6 +111,35 @@ def test_precompute_accepts_a_dense_base_at_1e_308():
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
+RECTANGULAR = [(6, 4), (4, 6)]
+
+
+@pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_precompute_accepts_tall_and_wide_bases_at_every_scale(shape, scale):
+    # in the source frame, penrose_check's products overflow at 1e+-300, and
+    # at 1e-160 ||XAX - X|| grows with ||X|| = 1e160 past its fixed limit
+    a = DenseMatrix(scale * draw_well_conditioned(stream_generator(11, 0), *shape).array)
+    t = draw_angle(stream_generator(11, 1), *shape)
+    assert np.array_equal(apply_update(precompute(a), t).array, pinv_structured(a, t).array)
+
+
+@pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
+def test_precompute_penrose_check_still_rejects_out_of_band(monkeypatch, shape):
+    a = DenseMatrix(1e-300 * draw_well_conditioned(stream_generator(11, 0), *shape).array)
+    k = min(shape)
+    noise = draw_dense(stream_generator(11, 2), k, k).array.real
+    prescaled_inverse = core._prescaled_inverse
+
+    def seam(arr):  # the Gram system's inverse, perturbed by a relative 1e-6
+        e, system, inv, adjoint = prescaled_inverse(arr)
+        return e, system, inv * (1 + 1e-6 * noise), adjoint
+
+    monkeypatch.setattr(core, "_prescaled_inverse", seam)
+    with pytest.raises(RuntimeError, match="internal consistency failure: precomputed base violates the pseudoinverse"):
+        precompute(a)
+
+
 def _near_max(n: int, share: float) -> np.ndarray:
     """A well-conditioned n x n base scaled to a largest part of share * max."""
     b = draw_well_conditioned(stream_generator(3, 0), n, n).array

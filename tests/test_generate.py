@@ -41,6 +41,13 @@ def test_seed_bounds():
         stream_generator(1.5, 0)
 
 
+@pytest.mark.parametrize("seed, stream", [(True, 0), (0, False)])
+def test_bool_seeds_and_streams_are_not_integers(seed, stream):
+    # True would otherwise key seed 1's stream
+    with pytest.raises(ValueError, match="seed must be an integer, got bool"):
+        stream_generator(seed, stream)
+
+
 def test_draw_dense_shape_and_finiteness():
     a = draw_dense(stream_generator(7, 0), 6, 3)
     assert isinstance(a, DenseMatrix)

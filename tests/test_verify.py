@@ -4,10 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from phasealg import LUFactorization, SingularMatrixError, run_suite
+from phasealg.generate import draw_angle, stream_generator
+from phasealg.verify import _max_abs, _rank_one_minor_residual
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAME_REPORTS = os.path.join(ROOT, "tools", "same_verify_reports.py")
@@ -33,6 +37,31 @@ def test_report_lists_each_check_once_in_a_fixed_order(suite):
         assert set(check) == {"name", "trials", "max_residual", "max_ratio", "passed"}
         if check["trials"] == 0:  # declared but reached by no trial
             assert (check["max_residual"], check["max_ratio"], check["passed"]) == (0.0, 0.0, True)
+
+
+def _minor_mask(m: int, n: int) -> np.ndarray:
+    return draw_angle(stream_generator(m, n), m, n).materialize().array
+
+
+def test_blocked_minor_residual_has_the_bits_of_the_full_product():
+    for m in range(2, 17):
+        for n in range(2, 17):
+            dense = _minor_mask(m, n)
+            outer = dense[:, None, :, None] * dense[None, :, None, :]
+            assert _rank_one_minor_residual(dense) == _max_abs(outer - outer.transpose(0, 1, 3, 2)), (m, n)
+
+
+def test_blocked_minor_residual_peaks_below_512_kib_at_16x16():
+    # the full m*m*n*n product, its transpose difference and their modulus
+    # peak at about 2.5 MiB here
+    dense = _minor_mask(16, 16)
+    tracemalloc.start()
+    try:
+        _rank_one_minor_residual(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_lemma2_draws_do_not_consult_the_lu_oracle(monkeypatch):
