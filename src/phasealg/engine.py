@@ -99,10 +99,10 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     A tall or wide base's pseudoinverse comes from checked_pinv's two
     phases and must pass penrose_check; out of the exponent band (e != 0)
     the check judges the stored base in the prescaled frame,
-    (A * 2^-e, X * 2^e), where no product overflows and the residuals meet
-    the limit RESIDUAL_EPS * (1 + ||A||_F) on its own scale. A square base
-    runs the two phases with
-    its set-up gate between them, all on the calling thread:
+    (A * 2^-e, X * 2^e), where no product overflows and the residuals are
+    on the scale of the fixed limit RESIDUAL_EPS * (1 + ||A||_F). A square
+    base runs the two phases with its set-up gate between them, all on the
+    calling thread:
     core._prescaled_inverse once, then the exact two-product gate
     _inverse_gate on the prescaled pair, whose norm product ||S||_F ||X||_F
     is the denominator of both the gate ratio and the condition test
