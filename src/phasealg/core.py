@@ -109,7 +109,10 @@ def _exponent(arr: np.ndarray) -> int:
 
 def _scale2(x: np.ndarray, e: int) -> np.ndarray:
     """x * 2^e by np.ldexp on the float64 view, since 2.0**e alone can
-    overflow. Exact unless an entry leaves the normal range."""
+    overflow; x itself when e is 0. Exact unless an entry leaves the normal
+    range."""
+    if not e:
+        return x
     return np.ldexp(x.ravel().view(np.float64), e).view(x.dtype).reshape(x.shape)
 
 
@@ -233,27 +236,16 @@ def lu_factorization_count() -> int:
 def checked_pinv(a: np.ndarray) -> np.ndarray:
     """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
     inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide, taken of
-    A * 2^-e and scaled back by 2^-e (_exponent). Rejected as singular when
-    the one system S inverted has 1 / (||S||_F ||S^-1||_F) <= RANK_EPS, or
-    when the result does not fit in float64. Counts one factorization.
-
-    Two phases: _prescaled_inverse, then _accept_inverse. engine.precompute
-    runs the first alone for a square base and fuses the second's condition
-    test into its set-up gate."""
-    return _accept_inverse(*_prescaled_inverse(a))
-
-
-def _prescaled_inverse(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
-    """checked_pinv's first phase: (e, S, inv(S), A_s^H), with e = _exponent(a),
-    A_s = a * 2^-e and S = A_s when square (A_s^H is then None), A_s^H A_s
-    when tall and A_s A_s^H when wide. LAPACK's LinAlgError (an exactly zero
-    pivot) raises SingularMatrixError with pivot 0. Counts one factorization."""
+    A_s = A * 2^-e and scaled back by 2^-e (_exponent). Rejected as singular
+    (_require_condition) when the one system S inverted has
+    1 / (||S||_F ||S^-1||_F) <= RANK_EPS, when the result does not fit in
+    float64 (reciprocal condition 0) or when LAPACK meets an exactly zero
+    pivot (pivot 0). Counts one factorization."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
     e = _exponent(a)
-    a = _scale2(a, -e) if e else a
-    adjoint = None
+    a = _scale2(a, -e)
     if m == n:
         system = a
     else:
@@ -263,17 +255,9 @@ def _prescaled_inverse(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.n
         inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    return e, system, inv, adjoint
-
-
-def _accept_inverse(e: int, system: np.ndarray, inv: np.ndarray, adjoint: np.ndarray | None) -> np.ndarray:
-    """checked_pinv's second phase on _prescaled_inverse's result: the
-    pseudoinverse's product with A_s^H, the scale back by 2^-e and the
-    condition test (_require_condition), where entries that do not fit in
-    float64 make the reciprocal condition 0."""
     reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
-    if reciprocal_condition > RANK_EPS and adjoint is not None:
-        inv = inv @ adjoint if adjoint.shape[0] < adjoint.shape[1] else adjoint @ inv  # A_s^H is wide when A is tall
+    if reciprocal_condition > RANK_EPS and m != n:
+        inv = inv @ adjoint if m > n else adjoint @ inv
     if e:
         with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
             inv = _scale2(inv, -e)

@@ -37,12 +37,9 @@ MAX_BENCH_DIM = 2048
 
 @dataclass(frozen=True, eq=False)
 class PrecomputedBase:
-    """One-time factorization product reused across every phase update.
-
-    base_pinv is the inverse for square sources and the pseudoinverse
-    otherwise; precompute checks it once (see there) and it is never
-    recomputed. shape is derived from it on construction: the source's
-    shape, the transpose of base_pinv's.
+    """The base (pseudo)inverse that precompute checked once, reused by every
+    update and never recomputed. shape is the source's, the transpose of
+    base_pinv's.
     """
 
     base_pinv: DenseMatrix
@@ -67,22 +64,18 @@ def _residual(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> float:
     return np.linalg.norm(out)
 
 
-def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
-    """(ratio, limit, norms) of the residual gate for a candidate inverse x
-    of a square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / norms and
-    limit = c * n * u, with u = eps / 2. norms = ||A||_F ||X||_F is
-    returned for precompute's condition test.
+def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(ratio, limit) of the residual gate for a candidate inverse x of a
+    square a: ratio = 2 max(||AX - I||_F, ||XA - I||_F) / (||A||_F ||X||_F)
+    and limit = c * n * u, with u = eps / 2. The candidate passes when
+    ratio <= limit; a nan ratio fails.
 
     Two products instead of penrose_check's four, and at least as strict as
     the four normwise-relative Penrose residuals: with E = AX - I and
     F = XA - I, ||AXA - A|| <= ||E|| ||A||, ||XAX - X|| <= ||X|| ||E||, and
     the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. The
-    ratio does not change under A -> sA, X -> X / s, so precompute gives
-    the exact pair (A * 2^-e, X * 2^e) (core._exponent), where nothing
-    overflows. The candidate passes when ratio <= limit; a nan ratio fails.
-
-    Everything runs on the calling thread: both norms, then AX and then XA,
-    each one whole BLAS call written into the same n-by-n buffer.
+    ratio does not change under A -> sA, X -> X / s. Both norms, then AX
+    and then XA, each one whole BLAS call into the same n-by-n buffer.
     """
     n = a.shape[0]
     product = np.empty((n, n), dtype=np.result_type(a, x))
@@ -90,57 +83,41 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
         norms = core._frobenius(a) * core._frobenius(x)
         residual = np.maximum(_residual(a, x, product), _residual(x, a, product))  # propagates nan
         ratio = float(2.0 * residual / norms)
-    return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2), norms
+    return ratio, _INVERSE_GATE_C * n * float(np.finfo(np.float64).eps / 2)
 
 
 def precompute(a: DenseMatrix) -> PrecomputedBase:
-    """Invert (or pseudoinvert) the base matrix once and sanity-check it.
+    """Invert (or pseudoinvert) the base matrix once and check the result.
 
-    A tall or wide base's pseudoinverse comes from checked_pinv's two
-    phases and must pass penrose_check; out of the exponent band (e != 0)
-    the check judges the stored base in the prescaled frame,
-    (A * 2^-e, X * 2^e), where no product overflows and the residuals are
-    on the scale of the fixed limit RESIDUAL_EPS * (1 + ||A||_F). A square
-    base runs the two phases with its set-up gate between them, all on the
-    calling thread:
-    core._prescaled_inverse once, then the exact two-product gate
-    _inverse_gate on the prescaled pair, whose norm product ||S||_F ||X||_F
-    is the denominator of both the gate ratio and the condition test
-    (core._require_condition), so the two norms are taken once. The
-    condition verdict (SingularMatrixError) is given before the gate's.
-    Out of the exponent band (e != 0) the inverse is first scaled back and
-    accepted as checked_pinv does (core._accept_inverse), and the gate
-    judges the stored base in the prescaled frame, (A * 2^-e, X * 2^e). An
-    accepted inverse is finite (an inf or nan entry makes the reciprocal
-    condition 0 or nan), so it is wrapped without a scan. The gate is the
-    one check behind every update apply_update serves. A failed gate or
-    Penrose check raises RuntimeError ("internal consistency failure").
+    core.checked_pinv gives X or its singularity verdict. An accepted square
+    inverse is finite (an inf or nan entry fails the condition test), so it
+    is stored without a scan; a pseudoinverse is scanned. The pair is then
+    checked in the prescaled frame, (A * 2^-e, X * 2^e) with e =
+    core._exponent(A) (A and X themselves in band), where no product
+    overflows: a square base by the two-product gate _inverse_gate, a tall
+    or wide one by penrose_check, whose fixed limit RESIDUAL_EPS *
+    (1 + ||A||_F) suits that frame's scale. A failed check raises
+    RuntimeError ("internal consistency failure"). It is the one check
+    behind every update apply_update serves.
     """
-    prescaled = core._prescaled_inverse(a.array)
-    e, system, x, _ = prescaled
-    if a.rows != a.cols:
-        base_pinv = DenseMatrix._wrap(core._accept_inverse(*prescaled))
-        if e:
-            report = penrose_check(DenseMatrix._wrap(core._scale2(a.array, -e)),
-                                   DenseMatrix._wrap(core._scale2(base_pinv.array, e)))
-        else:
-            report = penrose_check(a, base_pinv)
+    x = core.checked_pinv(a.array)
+    square = a.rows == a.cols
+    base = PrecomputedBase(DenseMatrix._wrap(x, proven_finite=square))
+    e = core._exponent(a.array)
+    a_s, x_s = core._scale2(a.array, -e), core._scale2(x, e)
+    if square:
+        ratio, limit = _inverse_gate(a_s, x_s)
+        if not ratio <= limit:
+            raise RuntimeError(
+                f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
+            )
+    else:
+        report = penrose_check(DenseMatrix._wrap(a_s, proven_finite=True), DenseMatrix._wrap(x_s, proven_finite=True))
         if not report.passed:
             raise RuntimeError(
                 f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
             )
-        return PrecomputedBase(base_pinv)
-    if e:
-        x = core._accept_inverse(*prescaled)
-        ratio, limit, _ = _inverse_gate(system, core._scale2(x, e))
-    else:
-        ratio, limit, norms = _inverse_gate(system, x)
-        core._require_condition(1.0 / norms)
-    if not ratio <= limit:
-        raise RuntimeError(
-            f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
-        )
-    return PrecomputedBase(DenseMatrix._wrap(x, proven_finite=True))
+    return base
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:

@@ -26,17 +26,17 @@ MAX_SEED = 2**64 - 1
 MAX_DRAW_ATTEMPTS = 128
 
 
-def _validate_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    if not (0 <= int(seed) <= MAX_SEED):
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+def _validate_seed(value: int, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if not (0 <= int(value) <= MAX_SEED):
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return int(value)
 
 
 def stream_generator(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); independent across streams."""
-    key = np.array([_validate_seed(seed), _validate_seed(stream)], dtype=np.uint64)
+    key = np.array([_validate_seed(seed, "seed"), _validate_seed(stream, "stream")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

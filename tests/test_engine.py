@@ -59,23 +59,18 @@ def test_precompute_rejects_rank_deficient():
         precompute(DenseMatrix([[1, 1], [2, 2], [3, 3]]))
 
 
-def _inject(monkeypatch, candidate: np.ndarray):
-    """precompute's square path takes candidate for LAPACK's inverse: the
-    prescaled inverse is replaced by candidate in the prescaled frame, and
-    the condition test is passed, as when checked_pinv was replaced whole."""
-    prescaled_inverse = core._prescaled_inverse
-
-    def seam(arr):
-        e, system, _, adjoint = prescaled_inverse(arr)
-        return e, system, core._scale2(np.array(candidate, dtype=np.complex128), e), adjoint
-
-    monkeypatch.setattr(core, "_prescaled_inverse", seam)
+def _inject(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
+    """precompute(a) takes candidate for LAPACK's inverse: np.linalg.inv
+    returns candidate in the prescaled frame, candidate * 2^e, and the
+    condition test is passed, as when checked_pinv was replaced whole."""
+    e = core._exponent(a.array)
+    monkeypatch.setattr(np.linalg, "inv", lambda system: core._scale2(np.array(candidate, dtype=np.complex128), e))
     monkeypatch.setattr(core, "_require_condition", lambda reciprocal_condition: None)
 
 
 def _assert_gate_rejects(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
     """precompute(a) fails its square gate when LAPACK's inverse is replaced by candidate."""
-    _inject(monkeypatch, candidate)
+    _inject(monkeypatch, a, candidate)
     with pytest.raises(RuntimeError, match=r"internal consistency failure: .*relative residual \S+ > \S+"):
         precompute(a)
 
@@ -114,11 +109,12 @@ def test_precompute_accepts_a_dense_base_at_1e_308():
 RECTANGULAR = [(6, 4), (4, 6)]
 
 
-@pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
+@pytest.mark.parametrize("shape", [(5, 5), *RECTANGULAR], ids=["5x5", "6x4", "4x6"])
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
 def test_precompute_accepts_tall_and_wide_bases_at_every_scale(shape, scale):
     # in the source frame, penrose_check's products overflow at 1e+-300, and
-    # at 1e-160 ||XAX - X|| grows with ||X|| = 1e160 past its fixed limit
+    # at 1e-160 ||XAX - X|| grows with ||X|| = 1e160 past its fixed limit; a
+    # square base takes the same path with the gate for the check
     a = DenseMatrix(scale * draw_well_conditioned(stream_generator(11, 0), *shape).array)
     t = draw_angle(stream_generator(11, 1), *shape)
     assert np.array_equal(apply_update(precompute(a), t).array, pinv_structured(a, t).array)
@@ -126,18 +122,15 @@ def test_precompute_accepts_tall_and_wide_bases_at_every_scale(shape, scale):
 
 @pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
 def test_precompute_penrose_check_still_rejects_out_of_band(monkeypatch, shape):
-    a = DenseMatrix(1e-300 * draw_well_conditioned(stream_generator(11, 0), *shape).array)
+    b = draw_well_conditioned(stream_generator(11, 0), *shape).array
     k = min(shape)
     noise = draw_dense(stream_generator(11, 2), k, k).array.real
-    prescaled_inverse = core._prescaled_inverse
-
-    def seam(arr):  # the Gram system's inverse, perturbed by a relative 1e-6
-        e, system, inv, adjoint = prescaled_inverse(arr)
-        return e, system, inv * (1 + 1e-6 * noise), adjoint
-
-    monkeypatch.setattr(core, "_prescaled_inverse", seam)
-    with pytest.raises(RuntimeError, match="internal consistency failure: precomputed base violates the pseudoinverse"):
-        precompute(a)
+    inv = np.linalg.inv
+    # the Gram system's inverse, perturbed by a relative 1e-6
+    monkeypatch.setattr(np.linalg, "inv", lambda system: inv(system) * (1 + 1e-6 * noise))
+    for scale in (1e-300, 1.0):  # out of the exponent band and in it
+        with pytest.raises(RuntimeError, match="internal consistency failure: precomputed base violates the pseudoinverse"):
+            precompute(DenseMatrix(scale * b))
 
 
 def _near_max(n: int, share: float) -> np.ndarray:
@@ -181,7 +174,7 @@ def test_precompute_gate_limit(monkeypatch, ulps, passes):
     a = DenseMatrix(np.eye(4))
     candidate = (1 + ulps * np.finfo(np.float64).eps) * np.eye(4)
     if passes:
-        _inject(monkeypatch, candidate)
+        _inject(monkeypatch, a, candidate)
         assert np.array_equal(precompute(a).base_pinv.array, candidate)
     else:
         _assert_gate_rejects(monkeypatch, a, candidate)
@@ -281,7 +274,7 @@ def test_concurrent_gate_is_bit_identical_to_the_sequential_one(n, kind):
     x = checked_pinv(a)
     norms = core._frobenius(a) * core._frobenius(x)
     residual = max(np.linalg.norm(a @ x - np.eye(n)), np.linalg.norm(x @ a - np.eye(n)))
-    sequential = (float(2.0 * residual / norms), engine._INVERSE_GATE_C * n * np.finfo(np.float64).eps / 2, norms)
+    sequential = (float(2.0 * residual / norms), engine._INVERSE_GATE_C * n * np.finfo(np.float64).eps / 2)
     assert sequential[0] < sequential[1]
     for concurrent in _on_two_threads(lambda: engine._inverse_gate(a, x)):
         assert np.array(concurrent).tobytes() == np.array(sequential).tobytes()
@@ -293,7 +286,7 @@ def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
     # the gate raises RuntimeWarning instead of rejecting the candidate.
     n = 160
     a = draw_dense(stream_generator(3, 0), n, n)
-    _inject(monkeypatch, np.full((n, n), 1e308))
+    _inject(monkeypatch, a, np.full((n, n), 1e308))
     for outcome in _on_two_threads(lambda: precompute(a)):
         assert isinstance(outcome, RuntimeError), outcome
         assert "precomputed inverse fails the residual gate" in str(outcome)

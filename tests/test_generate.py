@@ -33,18 +33,18 @@ def test_distinct_streams_are_independent():
 def test_seed_bounds():
     stream_generator(0, 0)
     stream_generator(MAX_SEED, MAX_SEED)
-    with pytest.raises(ValueError, match="64-bit"):
+    with pytest.raises(ValueError, match="seed must be a 64-bit"):
         stream_generator(-1, 0)
-    with pytest.raises(ValueError, match="64-bit"):
+    with pytest.raises(ValueError, match="stream must be a 64-bit"):
         stream_generator(0, MAX_SEED + 1)
     with pytest.raises(ValueError, match="integer"):
         stream_generator(1.5, 0)
 
 
-@pytest.mark.parametrize("seed, stream", [(True, 0), (0, False)])
-def test_bool_seeds_and_streams_are_not_integers(seed, stream):
+@pytest.mark.parametrize("seed, stream, name", [(True, 0, "seed"), (0, False, "stream")], ids=["True-0", "0-False"])
+def test_bool_seeds_and_streams_are_not_integers(seed, stream, name):
     # True would otherwise key seed 1's stream
-    with pytest.raises(ValueError, match="seed must be an integer, got bool"):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got bool"):
         stream_generator(seed, stream)
 
 

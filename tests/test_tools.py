@@ -142,9 +142,9 @@ def setup_stages():
 
 @pytest.mark.parametrize("n", [8, 160])
 def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, capsys, n):
-    originals = core._prescaled_inverse, engine._inverse_gate
+    originals = core.checked_pinv, engine._inverse_gate
     assert setup_stages.main(["--n", str(n), "--calls", "3"]) == 0
-    assert (core._prescaled_inverse, engine._inverse_gate) == originals
+    assert (core.checked_pinv, engine._inverse_gate) == originals
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"precompute {n}x{n}, median of 3 calls, OPENBLAS_NUM_THREADS=")
     stages = {line[:20].strip(): line[20:].split() for line in lines[1:]}
@@ -152,4 +152,4 @@ def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, ca
     for value, unit in stages.values():
         assert unit == "ms" and float(value) >= 0.0
     # each call's total covers both of its stages, so each median is at most the total's
-    assert float(stages["total"][0]) >= max(float(stages["prescaled inverse"][0]), float(stages["gate"][0]))
+    assert float(stages["total"][0]) >= max(float(stages["checked_pinv"][0]), float(stages["gate"][0]))

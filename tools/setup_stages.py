@@ -6,8 +6,8 @@ The base is `draw_dense` on stream (S, 0), an N x N random complex matrix
 (default 256, seed 7). After one warm-up call, `precompute` runs K times
 (default 40) and the script prints the median of each stage in ms:
 
-- prescaled inverse: `core._prescaled_inverse`, the exponent and LAPACK's
-  inverse;
+- checked_pinv: `core.checked_pinv`, the exponent, LAPACK's inverse and
+  the condition test;
 - gate: `engine._inverse_gate`, the two norms and the products `AX` and
   `XA` with their residuals;
 - total: the whole `precompute` call.
@@ -30,7 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from phasealg import core, engine  # noqa: E402
 from phasealg.generate import draw_dense, stream_generator  # noqa: E402
 
-STAGES = ("prescaled inverse", "gate", "total")
+STAGES = ("checked_pinv", "gate", "total")
 
 
 def _timed(fn, stage, times):
@@ -49,8 +49,8 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
     """Each stage's times in ms over `calls` precompute calls after one warm-up."""
     base = draw_dense(stream_generator(seed, 0), n, n)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    prescaled_inverse, inverse_gate = core._prescaled_inverse, engine._inverse_gate
-    core._prescaled_inverse = _timed(prescaled_inverse, "prescaled inverse", times)
+    checked_pinv, inverse_gate = core.checked_pinv, engine._inverse_gate
+    core.checked_pinv = _timed(checked_pinv, "checked_pinv", times)
     engine._inverse_gate = _timed(inverse_gate, "gate", times)
     precompute = _timed(engine.precompute, "total", times)
     try:
@@ -60,7 +60,7 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
         for _ in range(calls):
             precompute(base)
     finally:
-        core._prescaled_inverse, engine._inverse_gate = prescaled_inverse, inverse_gate
+        core.checked_pinv, engine._inverse_gate = checked_pinv, inverse_gate
     return times
 
 
