@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,16 @@ MAX_BENCH_DIM = 2048
 
 @dataclass(frozen=True, eq=False)
 class PrecomputedBase:
-    """The base (pseudo)inverse that precompute checked once, reused by every
-    update and never recomputed. shape is the source's, the transpose of
-    base_pinv's.
+    """The base (pseudo)inverse that precompute checked once, stored unscanned
+    (the check proves it finite), reused by every update and never
+    recomputed. shape is the source's, the transpose of base_pinv's.
     """
 
     base_pinv: DenseMatrix
-    shape: tuple[int, int] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", self.base_pinv.shape[::-1])
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.base_pinv.shape[::-1]
 
 
 # c in the square inverse gate's limit c * n * u. The smallest n is the
@@ -89,23 +89,22 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and check the result.
 
-    core.checked_pinv gives X or its singularity verdict. An accepted square
-    inverse is finite (an inf or nan entry fails the condition test), so it
-    is stored without a scan; a pseudoinverse is scanned. The pair is then
+    core.checked_pinv gives X or its singularity verdict. The pair is then
     checked in the prescaled frame, (A * 2^-e, X * 2^e) with e =
-    core._exponent(A) (A and X themselves in band), where no product
-    overflows: a square base by the two-product gate _inverse_gate, a tall
-    or wide one by penrose_check, whose fixed limit RESIDUAL_EPS *
-    (1 + ||A||_F) suits that frame's scale. A failed check raises
-    RuntimeError ("internal consistency failure"). It is the one check
-    behind every update apply_update serves.
+    core._exponent(A), where no product overflows: a square base by the gate
+    _inverse_gate, a tall or wide one by penrose_check, whose fixed limit
+    RESIDUAL_EPS * (1 + ||A||_F) suits that frame. A failure raises
+    RuntimeError ("internal consistency failure"). X of any shape is stored
+    unscanned: an inf or nan in the system inverse inv fails checked_pinv's
+    condition test, which in band bounds each entry of a tall or wide X, and
+    each partial sum of inv @ A^H, by sqrt(min(m, n)) / (RANK_EPS ||A||_F)
+    <= 5.2e130 sqrt(min(m, n)), as ||A||_F >= 2^-401 and ||A^H A||_F >=
+    ||A||_F^2 / sqrt(min(m, n)); out of band it rejects a non-finite X.
     """
     x = core.checked_pinv(a.array)
-    square = a.rows == a.cols
-    base = PrecomputedBase(DenseMatrix._wrap(x, proven_finite=square))
     e = core._exponent(a.array)
     a_s, x_s = core._scale2(a.array, -e), core._scale2(x, e)
-    if square:
+    if a.rows == a.cols:
         ratio, limit = _inverse_gate(a_s, x_s)
         if not ratio <= limit:
             raise RuntimeError(
@@ -117,7 +116,7 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
             raise RuntimeError(
                 f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
             )
-    return base
+    return PrecomputedBase(DenseMatrix._wrap(x, proven_finite=True))
 
 
 def apply_update(base: PrecomputedBase, t: AngleMatrix) -> DenseMatrix:

@@ -446,3 +446,67 @@ def test_only_core_calls_lapack_solvers():
             assert home in homes, f"{path.name}:{line} calls {kind} in {scope or 'module scope'}"
             used.add((kind, home))
     assert used == {(kind, home) for kind, homes in CALL_HOMES.items() for home in homes}
+
+
+PRODUCTION_ROUTE = {
+    "checked_pinv", "slogdet", "rescale", "_masked_pinv", "det_structured", "inverse_structured",
+    "inverse_structured_transposed", "pinv_structured", "precompute", "_inverse_gate", "apply_update",
+    "condition_proxy",
+}
+ORACLES = {
+    "lu_factorize", "LUFactorization", "det_lu", "inverse_lu", "pinv_full_rank", "hadamard_product", "cofactor",
+    "adjugate", "inverse_adjugate_structured", "naive_update", "materialize", "penrose_check",
+}
+# penrose_check checks tall and wide bases in precompute until they have a
+# gate of their own (ROADMAP item 4); then it becomes an oracle only
+ORACLE_CALLS_ON_THE_ROUTE = {("precompute", "penrose_check")}
+
+
+def _package_definitions() -> dict[str, list[ast.AST]]:
+    """Every function, method and class of the package, by bare name."""
+    definitions = {}
+    package = pathlib.Path(phasealg.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(node)
+    return definitions
+
+
+def _referenced_names(definition: ast.AST) -> set[str]:
+    """Every name and attribute a function's body refers to, dunders aside;
+    for a class, those of its constructors (annotations are not references)."""
+    if isinstance(definition, ast.ClassDef):
+        constructors = [node for node in definition.body if isinstance(node, ast.FunctionDef)
+                        and node.name in ("__init__", "__post_init__", "__new__")]
+        return set().union(*map(_referenced_names, constructors))
+    names = set()
+    for statement in definition.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and not node.attr.startswith("__"):  # super().__init__
+                names.add(node.attr)
+    return names
+
+
+def test_the_production_route_calls_no_oracle():
+    # Names are followed by bare name through every definition that bears
+    # one (both _wrap methods, say), so the walk over-approximates the calls;
+    # an oracle is never walked into, only reported.
+    definitions = _package_definitions()
+    assert PRODUCTION_ROUTE <= definitions.keys() and ORACLES <= definitions.keys()
+    reached, pending, oracle_calls = set(), list(PRODUCTION_ROUTE), set()
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for referenced in set().union(*map(_referenced_names, definitions[name])) & definitions.keys():
+            if referenced in ORACLES:
+                oracle_calls.add((name, referenced))
+            else:
+                pending.append(referenced)
+    assert oracle_calls == ORACLE_CALLS_ON_THE_ROUTE
+    assert {"_exponent", "_scale2", "_frobenius", "_require_condition", "_require_finite_result"} <= reached
+    assert "run_benchmark" not in reached

@@ -109,15 +109,27 @@ def test_precompute_accepts_a_dense_base_at_1e_308():
 RECTANGULAR = [(6, 4), (4, 6)]
 
 
+def _record_scans(monkeypatch) -> list:
+    """The shapes of the arrays core._require_finite scans from now on."""
+    scans = []
+    require_finite = core._require_finite
+    monkeypatch.setattr(core, "_require_finite", lambda arr: scans.append(arr.shape) or require_finite(arr))
+    return scans
+
+
 @pytest.mark.parametrize("shape", [(5, 5), *RECTANGULAR], ids=["5x5", "6x4", "4x6"])
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
-def test_precompute_accepts_tall_and_wide_bases_at_every_scale(shape, scale):
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+def test_precompute_accepts_tall_and_wide_bases_at_every_scale(monkeypatch, shape, scale):
     # in the source frame, penrose_check's products overflow at 1e+-300, and
     # at 1e-160 ||XAX - X|| grows with ||X|| = 1e160 past its fixed limit; a
-    # square base takes the same path with the gate for the check
+    # square base takes the same path with the gate for the check. The check
+    # proves the base finite, so no shape is stored with a scan.
     a = DenseMatrix(scale * draw_well_conditioned(stream_generator(11, 0), *shape).array)
     t = draw_angle(stream_generator(11, 1), *shape)
-    assert np.array_equal(apply_update(precompute(a), t).array, pinv_structured(a, t).array)
+    scans = _record_scans(monkeypatch)
+    base = precompute(a)
+    assert scans == [] and base.shape == shape
+    assert np.array_equal(apply_update(base, t).array, pinv_structured(a, t).array)
 
 
 @pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
@@ -450,9 +462,7 @@ def test_precomputed_base_derives_shape_and_finite_updates_skip_the_scan(monkeyp
     at_bound = PrecomputedBase(DenseMatrix(pinv * scale))
     above = PrecomputedBase(DenseMatrix(pinv * np.nextafter(scale, np.inf)))
     assert at_bound.shape == above.shape == (2, 3)
-    scans = []
-    require_finite = core._require_finite
-    monkeypatch.setattr(core, "_require_finite", lambda arr: scans.append(arr.shape) or require_finite(arr))
+    scans = _record_scans(monkeypatch)
     t = draw_angle(stream_generator(173, 1), 2, 3)
     apply_update(at_bound, t)
     apply_update(above, t)
