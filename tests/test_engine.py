@@ -259,8 +259,9 @@ def _gate_base(kind: str, n: int) -> np.ndarray:
 
 
 def _on_two_threads(fn):
-    """fn() on the caller and on a second thread at once: both outcomes,
-    each fn's result or the exception it raised."""
+    """fn() on the calling thread and on one more thread at once, as two
+    callers in one process run it: both outcomes, each fn's result or the
+    exception it raised."""
     outcomes = [None, None]
 
     def run(k):
@@ -280,8 +281,9 @@ def _on_two_threads(fn):
 @pytest.mark.parametrize("kind", ["random", "graded", "1e-300"])
 @pytest.mark.parametrize("n", [100, 112, 128, 256])
 def test_concurrent_gate_is_bit_identical_to_the_sequential_one(n, kind):
-    # two threads run the gate on the same pair at once; each call owns its
-    # buffer, so both equal the gate formed step by step on fresh arrays
+    # the gate runs on its caller's thread; two callers on the same pair at
+    # once each own their product buffer, so both get the ratio and limit
+    # formed step by step on fresh arrays
     a = _gate_base(kind, n)
     x = checked_pinv(a)
     norms = core._frobenius(a) * core._frobenius(x)
@@ -293,9 +295,10 @@ def test_concurrent_gate_is_bit_identical_to_the_sequential_one(n, kind):
 
 
 def test_concurrent_gate_rejects_an_overflowing_candidate(monkeypatch):
-    # Both products overflow. The gate sets its own np.errstate, whichever
-    # thread runs it: without it, matmul warns, and under warnings as errors
-    # the gate raises RuntimeWarning instead of rejecting the candidate.
+    # Both products overflow. np.errstate holds per thread, so the gate sets
+    # its own on each caller's thread: without it, matmul warns, and under
+    # warnings as errors the gate raises RuntimeWarning instead of rejecting
+    # the candidate.
     n = 160
     a = draw_dense(stream_generator(3, 0), n, n)
     _inject(monkeypatch, a, np.full((n, n), 1e308))
@@ -312,9 +315,10 @@ def _run_python(code: str) -> str:
 
 @pytest.mark.parametrize("before_exit", [0, 1])
 def test_a_gate_reached_during_interpreter_shutdown_forms_both_products(before_exit):
-    # precompute at 160^2 works in an atexit handler, whether or not it ran
-    # before exit; an exception in the handler would only be printed, hence
-    # the check of stderr
+    # precompute at 160^2 starts no thread, so it works in an atexit handler,
+    # where Python starts no new thread, whether or not it ran before exit;
+    # an exception in the handler would only be printed, hence the check of
+    # stderr
     out = _run_python(
         "import atexit\n"
         "from phasealg import precompute\n"
@@ -344,9 +348,9 @@ def test_precompute_starts_no_thread_and_loads_no_executor():
 # OpenBLAS at its default thread count keeps threads of its own
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_precompute_works_in_a_forked_child():
-    # the child of a process that has run precompute at 160^2 runs it too;
-    # a child that hung (on a lock or thread the fork did not copy) is ended
-    # by the alarm
+    # the child of a process that has run precompute at 160^2 runs it too,
+    # though the fork copies none of OpenBLAS's threads at its default
+    # count; a child that hung on a lock they held is ended by the alarm
     n = 160
     a = draw_dense(stream_generator(3, 0), n, n)
     precompute(a)
@@ -362,8 +366,9 @@ def test_precompute_works_in_a_forked_child():
 
 
 def test_concurrent_callers_of_the_gate_each_get_their_own_ratio():
-    # more caller threads than cores, with a short switch interval; each
-    # call owns its buffer, so every ratio must equal the one taken alone
+    # callers on more threads than cores, with a short switch interval; each
+    # gate call owns its product buffer, so every ratio equals the one taken
+    # alone
     n, callers, calls = 160, 4, 5
     bases = [draw_dense(stream_generator(seed, 0), n, n).array for seed in range(callers)]
     inverses = [checked_pinv(b) for b in bases]
