@@ -241,6 +241,12 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
     1 / (||S||_F ||S^-1||_F) <= RANK_EPS, when the result does not fit in
     float64 (reciprocal condition 0) or when LAPACK meets an exactly zero
     pivot (pivot 0). Counts one factorization."""
+    return _pinv_system(a)[0]
+
+
+def _pinv_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(checked_pinv(a), S, K): S is the one system inverted, A_s when square
+    and its Gram system otherwise, and K is LAPACK's inverse of S."""
     global _lu_factorizations
     _lu_factorizations += 1
     m, n = a.shape
@@ -252,7 +258,7 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         adjoint = a.conj().T
         system = adjoint @ a if m > n else a @ adjoint
     try:
-        inv = np.linalg.inv(system)
+        system_inverse = inv = np.linalg.inv(system)
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
     reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
@@ -264,7 +270,7 @@ def checked_pinv(a: np.ndarray) -> np.ndarray:
         if not np.isfinite(inv).all():
             reciprocal_condition = 0.0
     _require_condition(reciprocal_condition)
-    return inv
+    return inv, system, system_inverse
 
 
 def _require_condition(reciprocal_condition: float) -> None:

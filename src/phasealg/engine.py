@@ -20,7 +20,7 @@ from .core import (
     hadamard_product,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
-from .pseudo import _masked_pinv, penrose_check, pinv_full_rank
+from .pseudo import _masked_pinv, pinv_full_rank
 
 __all__ = [
     "PrecomputedBase",
@@ -76,6 +76,12 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     the Hermitian defects of AX and XA are at most 2||E|| and 2||F||. The
     ratio does not change under A -> sA, X -> X / s. Both norms, then AX
     and then XA, each one whole BLAS call into the same n-by-n buffer.
+
+    precompute also gates a tall base B's Gram system S and its inverse K,
+    giving X = K B^H (a wide base is the mirror). With E = SK - I and
+    F = KS - I, BXB - B = BF, XBX - X = FX, XB's Hermitian defect is
+    F - F^H and BX's is B (F - E^H) S^-1 B^H. Only the BLAS product K @ B^H
+    goes unchecked, the trust rescale's multiplies get on every update.
     """
     n = a.shape[0]
     product = np.empty((n, n), dtype=np.result_type(a, x))
@@ -89,33 +95,23 @@ def _inverse_gate(a: np.ndarray, x: np.ndarray) -> tuple[float, float]:
 def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and check the result.
 
-    core.checked_pinv gives X or its singularity verdict. The pair is then
-    checked in the prescaled frame, (A * 2^-e, X * 2^e) with e =
-    core._exponent(A), where no product overflows: a square base by the gate
-    _inverse_gate, a tall or wide one by penrose_check, whose fixed limit
-    RESIDUAL_EPS * (1 + ||A||_F) suits that frame. A failure raises
-    RuntimeError ("internal consistency failure"). X of any shape is stored
-    unscanned: an inf or nan in the system inverse inv fails checked_pinv's
-    condition test, which in band bounds each entry of a tall or wide X, and
-    each partial sum of inv @ A^H, by sqrt(min(m, n)) / (RANK_EPS ||A||_F)
-    <= 5.2e130 sqrt(min(m, n)), as ||A||_F >= 2^-401 and ||A^H A||_F >=
-    ||A||_F^2 / sqrt(min(m, n)); out of band it rejects a non-finite X.
+    core._pinv_system gives X (checked_pinv's result) or its singularity
+    verdict, and the square system it inverted, in the prescaled frame where
+    no product overflows, with LAPACK's inverse of it. _inverse_gate checks
+    that pair for every shape; a failure raises RuntimeError ("internal
+    consistency failure"). X is stored unscanned: an inf or nan in the
+    system inverse fails the condition test, which in band bounds each entry
+    of a tall or wide X, and each partial sum of inv @ A^H, by
+    sqrt(min(m, n)) / (RANK_EPS ||A||_F) <= 5.2e130 sqrt(min(m, n)), as
+    ||A||_F >= 2^-401 and ||A^H A||_F >= ||A||_F^2 / sqrt(min(m, n)); out
+    of band it rejects a non-finite X.
     """
-    x = core.checked_pinv(a.array)
-    e = core._exponent(a.array)
-    a_s, x_s = core._scale2(a.array, -e), core._scale2(x, e)
-    if a.rows == a.cols:
-        ratio, limit = _inverse_gate(a_s, x_s)
-        if not ratio <= limit:
-            raise RuntimeError(
-                f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
-            )
-    else:
-        report = penrose_check(DenseMatrix._wrap(a_s, proven_finite=True), DenseMatrix._wrap(x_s, proven_finite=True))
-        if not report.passed:
-            raise RuntimeError(
-                f"internal consistency failure: precomputed base violates the pseudoinverse conditions (worst residual {report.worst():.3e} > {report.tolerance:.3e})"
-            )
+    x, system, system_inverse = core._pinv_system(a.array)
+    ratio, limit = _inverse_gate(system, system_inverse)
+    if not ratio <= limit:
+        raise RuntimeError(
+            f"internal consistency failure: precomputed inverse fails the residual gate (relative residual {ratio:.3e} > {limit:.3e})"
+        )
     return PrecomputedBase(DenseMatrix._wrap(x, proven_finite=True))
 
 

@@ -224,11 +224,15 @@ def test_dense_file_where_angle_expected_exits_2(tmp_path, capsys):
     assert "angle" in capsys.readouterr().err
 
 
-def test_malformed_file_exits_2(tmp_path):
+def test_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     a_path, t_path = write_identity_pair(tmp_path)
     assert run_cli("det", "--matrix", str(bad), "--angle", t_path) == 2
+    bad.write_text('{"kind": "angle", "theta": [Infinity, 0], "phi": [0, 0]}')
+    capsys.readouterr()
+    assert run_cli("det", "--matrix", a_path, "--angle", str(bad)) == 2
+    assert "theta contains a non-finite phase" in capsys.readouterr().err
 
 
 def test_undecodable_file_exits_2_naming_it(tmp_path, capsys):
@@ -276,10 +280,13 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert run_cli("unknown-command") == 2
     assert run_cli("gen", "--rows", "2") == 2
     assert run_cli("verify", "--suite", "lemma9") == 2
+    capsys.readouterr()
+    assert run_cli("verify", "--suite", "thm1", "--trials", "0") == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path):

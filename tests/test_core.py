@@ -202,6 +202,8 @@ def test_lu_inverse_of_diagonal():
 def test_lu_requires_square():
     with pytest.raises(ValueError, match="square"):
         lu_factorize(DenseMatrix(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="solve dimension mismatch: factor is 2x2, rhs has 3 rows"):
+        lu_factorize(DenseMatrix(np.eye(2))).solve(np.ones((3, 1)))
 
 
 def test_lu_singular_error_carries_pivot():
@@ -395,12 +397,12 @@ LAPACK_SOLVERS = {"inv", "solve", "pinv", "slogdet", "det", "qr", "svd", "lstsq"
 
 # The only homes of each guarded call: a whole module, or a (module, function)
 # pair. LAPACK solvers stay on the production route in core, with inv in
-# checked_pinv alone; np.exp runs only in
+# _pinv_system alone; np.exp runs only in
 # the one mask kernel of each route (rescale, materialize), the
 # determinant's rotation and lemma3's fixed 2x2 expected value.
 CALL_HOMES = {
     "numpy.linalg solver": {"core.py"},
-    "numpy.linalg.inv": {("core.py", "checked_pinv")},
+    "numpy.linalg.inv": {("core.py", "_pinv_system")},
     "numpy.exp": {
         ("core.py", "rescale"),
         ("angle.py", "AngleMatrix.materialize"),
@@ -457,9 +459,7 @@ ORACLES = {
     "lu_factorize", "LUFactorization", "det_lu", "inverse_lu", "pinv_full_rank", "hadamard_product", "cofactor",
     "adjugate", "inverse_adjugate_structured", "naive_update", "materialize", "penrose_check",
 }
-# penrose_check checks tall and wide bases in precompute until they have a
-# gate of their own (ROADMAP item 4); then it becomes an oracle only
-ORACLE_CALLS_ON_THE_ROUTE = {("precompute", "penrose_check")}
+ORACLE_CALLS_ON_THE_ROUTE = set()
 
 
 def _package_definitions() -> dict[str, list[ast.AST]]:

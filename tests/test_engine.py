@@ -55,8 +55,11 @@ def test_precompute_random_passes_penrose_at_construction():
 
 
 def test_precompute_rejects_rank_deficient():
+    a = DenseMatrix([[1, 1], [2, 2], [3, 3]])
     with pytest.raises(SingularMatrixError):
-        precompute(DenseMatrix([[1, 1], [2, 2], [3, 3]]))
+        precompute(a)
+    with pytest.raises(RuntimeError, match="internal consistency failure: masked matrix reported singular"):
+        naive_update(a, draw_angle(stream_generator(0, 1), 3, 2))
 
 
 def _inject(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
@@ -118,12 +121,13 @@ def _record_scans(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("shape", [(5, 5), *RECTANGULAR], ids=["5x5", "6x4", "4x6"])
-@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-120, 1e-60, 1e-8, 1.0, 1e160, 1e300])
 def test_precompute_accepts_tall_and_wide_bases_at_every_scale(monkeypatch, shape, scale):
-    # in the source frame, penrose_check's products overflow at 1e+-300, and
-    # at 1e-160 ||XAX - X|| grows with ||X|| = 1e160 past its fixed limit; a
-    # square base takes the same path with the gate for the check. The check
-    # proves the base finite, so no shape is stored with a scan.
+    # the gate is scale-invariant and judges the system inverted in the
+    # prescaled frame, where no product overflows; a fixed limit on the
+    # Penrose residuals of (A, X) failed tall and wide bases from 1e-8 down
+    # to 1e-120, in band, as ||XAX - X|| grows with ||X||. The gate proves
+    # the base finite, so no shape is stored with a scan.
     a = DenseMatrix(scale * draw_well_conditioned(stream_generator(11, 0), *shape).array)
     t = draw_angle(stream_generator(11, 1), *shape)
     scans = _record_scans(monkeypatch)
@@ -132,17 +136,64 @@ def test_precompute_accepts_tall_and_wide_bases_at_every_scale(monkeypatch, shap
     assert np.array_equal(apply_update(base, t).array, pinv_structured(a, t).array)
 
 
+def _perturb_gram_inverse(monkeypatch, relative: float, k: int):
+    """LAPACK's inverse of every k x k system, times (1 + relative * noise)."""
+    noise = draw_dense(stream_generator(11, 2), k, k).array.real
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda system: inv(system) * (1 + relative * noise))
+
+
 @pytest.mark.parametrize("shape", RECTANGULAR, ids=["6x4", "4x6"])
 def test_precompute_penrose_check_still_rejects_out_of_band(monkeypatch, shape):
     b = draw_well_conditioned(stream_generator(11, 0), *shape).array
-    k = min(shape)
-    noise = draw_dense(stream_generator(11, 2), k, k).array.real
-    inv = np.linalg.inv
-    # the Gram system's inverse, perturbed by a relative 1e-6
-    monkeypatch.setattr(np.linalg, "inv", lambda system: inv(system) * (1 + 1e-6 * noise))
+    _perturb_gram_inverse(monkeypatch, 1e-6, min(shape))
     for scale in (1e-300, 1.0):  # out of the exponent band and in it
-        with pytest.raises(RuntimeError, match="internal consistency failure: precomputed base violates the pseudoinverse"):
+        with pytest.raises(RuntimeError, match="internal consistency failure: precomputed inverse fails the residual gate"):
             precompute(DenseMatrix(scale * b))
+
+
+@pytest.mark.parametrize("shape", [(40, 20), (20, 40), *RECTANGULAR], ids=["40x20", "20x40", "6x4", "4x6"])
+def test_precompute_gate_rejects_a_gram_inverse_off_by_1e_10(monkeypatch, shape):
+    # a fixed limit on the Penrose residuals of (A, X) passed this
+    # perturbation; the gate scores it over 1000 times its limit
+    _perturb_gram_inverse(monkeypatch, 1e-10, min(shape))
+    with pytest.raises(RuntimeError, match="internal consistency failure: precomputed inverse fails the residual gate"):
+        precompute(draw_well_conditioned(stream_generator(11, 0), *shape))
+
+
+def _graded_rectangular(seed: int, m: int, n: int, condition: float) -> DenseMatrix:
+    """m x n matrix with singular values spaced evenly in log from 1 down to
+    1 / condition, between random orthonormal factors."""
+    gen = stream_generator(seed, 0)
+    k = min(m, n)
+    u, _ = np.linalg.qr(draw_dense(gen, m, k).array)
+    v, _ = np.linalg.qr(draw_dense(gen, n, k).array)
+    return DenseMatrix((u * np.logspace(0, -np.log10(condition), k)) @ v.conj().T)
+
+
+@pytest.mark.parametrize("shape", [(40, 20), (20, 40)], ids=["40x20", "20x40"])
+def test_precompute_accepts_graded_tall_and_wide_bases_at_condition_1e4(shape):
+    # the Gram route leaves about condition^2 u in X, which a fixed limit
+    # on the Penrose residuals of (A, X) rejected; the gate judges only the
+    # Gram system's inverse
+    a = _graded_rectangular(5, *shape, 1e4)
+    t = draw_angle(stream_generator(5, 1), *shape)
+    base = precompute(a)
+    assert np.array_equal(base.base_pinv.array, checked_pinv(a.array))
+    assert np.array_equal(apply_update(base, t).array, pinv_structured(a, t).array)
+
+
+@pytest.mark.parametrize("shape", [(40, 20), (20, 40)], ids=["40x20", "20x40"])
+def test_precompute_calls_graded_tall_and_wide_bases_at_condition_1e5_singular(shape):
+    # the Gram system squares the condition to about 1e10, past RANK_EPS:
+    # checked_pinv's verdict, figures and all
+    a = _graded_rectangular(5, *shape, 1e5)
+    with pytest.raises(SingularMatrixError) as expected:
+        checked_pinv(a.array)
+    with pytest.raises(SingularMatrixError) as raised:
+        precompute(a)
+    assert str(raised.value) == str(expected.value)
+    assert np.array([raised.value.pivot]).tobytes() == np.array([expected.value.pivot]).tobytes()
 
 
 def _near_max(n: int, share: float) -> np.ndarray:

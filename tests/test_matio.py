@@ -74,6 +74,8 @@ def test_malformed_kind_is_named(tmp_path):
     path.write_text('{"rows": 1}')
     with pytest.raises(MatrixFormatError, match="'kind'"):
         read_matrix(path)
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        write_matrix(path, np.eye(2))
 
 
 def test_invalid_json_reports_position(tmp_path):
@@ -142,6 +144,9 @@ def test_angle_rejects_empty_phase_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "angle", "theta": [], "phi": [0]}')
     with pytest.raises(MatrixFormatError, match="'theta'"):
+        read_matrix(path)
+    path.write_text('{"kind": "angle", "theta": [Infinity], "phi": [0]}')
+    with pytest.raises(MatrixFormatError, match="theta contains a non-finite phase"):
         read_matrix(path)
 
 

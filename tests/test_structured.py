@@ -312,6 +312,8 @@ def test_cofactor_bounds_and_one_by_one():
     assert cofactor(a, 0, 0) == 1.0
     with pytest.raises(ValueError, match="out of range"):
         cofactor(identity(2), 2, 0)
+    with pytest.raises(ValueError, match="cofactor requires a square matrix"):
+        cofactor(DenseMatrix(np.ones((2, 3))), 0, 0)
 
 
 def test_cofactor_is_bitwise_the_delete_construction():

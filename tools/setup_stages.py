@@ -6,10 +6,10 @@ The base is `draw_dense` on stream (S, 0), an N x N random complex matrix
 (default 256, seed 7). After one warm-up call, `precompute` runs K times
 (default 40) and the script prints the median of each stage in ms:
 
-- checked_pinv: `core.checked_pinv`, the exponent, LAPACK's inverse and
-  the condition test;
-- gate: `engine._inverse_gate`, the two norms and the products `AX` and
-  `XA` with their residuals;
+- pinv_system: `core._pinv_system`, the exponent, LAPACK's inverse and
+  the condition test (`core.checked_pinv` without its return);
+- gate: `engine._inverse_gate` on the inverted system `S` and its inverse
+  `K`, the two norms and the products `SK` and `KS` with their residuals;
 - total: the whole `precompute` call.
 
 The BLAS thread count is the environment's; the benchmark sets
@@ -30,7 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from phasealg import core, engine  # noqa: E402
 from phasealg.generate import draw_dense, stream_generator  # noqa: E402
 
-STAGES = ("checked_pinv", "gate", "total")
+STAGES = ("pinv_system", "gate", "total")
 
 
 def _timed(fn, stage, times):
@@ -49,8 +49,8 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
     """Each stage's times in ms over `calls` precompute calls after one warm-up."""
     base = draw_dense(stream_generator(seed, 0), n, n)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    checked_pinv, inverse_gate = core.checked_pinv, engine._inverse_gate
-    core.checked_pinv = _timed(checked_pinv, "checked_pinv", times)
+    pinv_system, inverse_gate = core._pinv_system, engine._inverse_gate
+    core._pinv_system = _timed(pinv_system, "pinv_system", times)
     engine._inverse_gate = _timed(inverse_gate, "gate", times)
     precompute = _timed(engine.precompute, "total", times)
     try:
@@ -60,7 +60,7 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
         for _ in range(calls):
             precompute(base)
     finally:
-        core.checked_pinv, engine._inverse_gate = checked_pinv, inverse_gate
+        core._pinv_system, engine._inverse_gate = pinv_system, inverse_gate
     return times
 
 
