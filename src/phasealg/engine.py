@@ -96,12 +96,12 @@ def precompute(a: DenseMatrix) -> PrecomputedBase:
     """Invert (or pseudoinvert) the base matrix once and check the result.
 
     core._pinv_system gives X (checked_pinv's result) or its singularity
-    verdict, and the square system it inverted, in the prescaled frame where
-    no product overflows, with LAPACK's inverse of it. _inverse_gate checks
-    that pair for every shape; a failure raises RuntimeError ("internal
-    consistency failure"). X is stored unscanned: an inf or nan in the
-    system inverse fails the condition test, which in band bounds each entry
-    of a tall or wide X, and each partial sum of inv @ A^H, by
+    verdict, and the square system S it inverted, in the prescaled frame
+    where no product overflows, with LAPACK's inverse K of S. _inverse_gate
+    checks (S, K) for every shape; a failure raises RuntimeError ("internal
+    consistency failure"). X is stored unscanned: an inf or nan in K fails
+    the condition test, which in band bounds each entry of a tall or wide
+    X, and each partial sum of K @ A^H, by
     sqrt(min(m, n)) / (RANK_EPS ||A||_F) <= 5.2e130 sqrt(min(m, n)), as
     ||A||_F >= 2^-401 and ||A^H A||_F >= ||A||_F^2 / sqrt(min(m, n)); out
     of band it rejects a non-finite X.
