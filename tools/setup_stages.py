@@ -6,8 +6,8 @@ The base is `draw_dense` on stream (S, 0), an N x N random complex matrix
 (default 256, seed 7). After one warm-up call, `precompute` runs K times
 (default 40) and the script prints the median of each stage in ms:
 
-- pinv_system: `core._pinv_system`, the exponent, LAPACK's inverse and
-  the condition test (`core.checked_pinv` without its return);
+- pinv_system: `core._pinv_system`, the work of `core.checked_pinv`: the
+  exponent, LAPACK's inverse and the condition test;
 - gate: `engine._inverse_gate` on the inverted system `S` and its inverse
   `K`, the two norms and the products `SK` and `KS` with their residuals;
 - total: the whole `precompute` call.
