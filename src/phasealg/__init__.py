@@ -4,8 +4,9 @@ A rank-one mask of unit-modulus entries rotates a matrix entry by entry
 without disturbing its algebra: the masked determinant is the base
 determinant times a unit rotation, and the masked inverse or pseudoinverse
 is the base one under the conjugate-transposed mask. This package implements
-those closed forms, the naive LU/Gram oracles that verify them, and a
-benchmark engine that reuses one factorization across a stream of masks.
+those closed forms, the naive LU/Gram oracles that verify them, an engine
+that reuses one checked factorization across a stream of masks, and a
+benchmark that times it against per-mask refactorization.
 """
 
 from .angle import (
@@ -13,6 +14,7 @@ from .angle import (
     gram,
     hadamard_inverse_transpose,
 )
+from .bench import BenchRecord, naive_update, run_benchmark
 from .core import (
     CONDITION_CAP,
     ENTRY_EPS,
@@ -33,14 +35,7 @@ from .core import (
     lu_factorize,
     transpose,
 )
-from .engine import (
-    BenchRecord,
-    PrecomputedBase,
-    apply_update,
-    naive_update,
-    precompute,
-    run_benchmark,
-)
+from .engine import PrecomputedBase, apply_update, precompute
 from .generate import (
     condition_proxy,
     draw_angle,

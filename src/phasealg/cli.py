@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from .angle import AngleMatrix
+from .bench import append_bench_record, run_benchmark
 from .core import (
     CONDITION_CAP,
     ENTRY_EPS,
@@ -27,12 +28,10 @@ from .core import (
     hadamard_product,
     inverse_lu,
 )
-from .engine import run_benchmark
 from .generate import draw_angle, draw_dense, stream_generator
 from .matio import (
     REPORT_SCHEMA_VERSION,
     MatrixFormatError,
-    append_bench_record,
     dumps_report,
     read_matrix,
     write_matrix,

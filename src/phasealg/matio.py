@@ -1,4 +1,4 @@
-"""Textual file formats: matrices, verification reports, benchmark CSV rows.
+"""Textual file formats: matrices and verification reports.
 
 Matrix files are JSON with a `kind` discriminator:
 
@@ -7,21 +7,19 @@ Matrix files are JSON with a `kind` discriminator:
 
 Floats are serialized in shortest round-trip decimal form (Python repr), so a
 write/read cycle reproduces every finite 64-bit value bit for bit. Reports are
-schema-versioned JSON with sorted keys; benchmark rows append to a CSV whose
-header is written when the file is created.
+schema-versioned JSON with sorted keys. Benchmark CSV rows are
+phasealg.bench's.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from typing import Union
 
 import numpy as np
 
 from .angle import AngleMatrix
 from .core import DenseMatrix
-from .engine import BenchRecord
 
 __all__ = [
     "MatrixFormatError",
@@ -30,13 +28,9 @@ __all__ = [
     "write_matrix",
     "dumps_report",
     "write_report",
-    "BENCH_CSV_HEADER",
-    "append_bench_record",
 ]
 
 MatrixValue = Union[DenseMatrix, AngleMatrix]
-
-BENCH_CSV_HEADER = "rows,cols,updates,structured_ns,naive_ns,max_residual,seed"
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -153,16 +147,3 @@ def dumps_report(report: dict) -> str:
 def write_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dumps_report(report))
-
-
-def append_bench_record(path, record: BenchRecord) -> None:
-    """Append one CSV row, writing the header first if the file is new."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as handle:
-        if fresh:
-            handle.write(BENCH_CSV_HEADER + "\n")
-        handle.write(
-            f"{record.rows},{record.cols},{record.updates},"
-            f"{record.structured_ns_per_update!r},{record.naive_ns_per_update!r},"
-            f"{record.max_residual!r},{record.seed}\n"
-        )

@@ -2,12 +2,14 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from phasealg import AngleMatrix, DenseMatrix, SingularMatrixError, identity, read_matrix, write_matrix
-from phasealg.cli import main
+from phasealg.bench import BENCH_CSV_HEADER
+from phasealg.cli import entrypoint, main
 from phasealg.core import DeterminantRangeError
 from phasealg.matio import MatrixFormatError
 
@@ -365,9 +367,22 @@ def test_bench_config_cap_exits_2(tmp_path):
                    "--seed", "1", "--csv", str(tmp_path / "b.csv")) == 2
 
 
+def test_console_script_entrypoint_exits_0(tmp_path, monkeypatch, capsys):
+    # the installed `phasealg` command runs cli.entrypoint, which exits with main's code
+    csv_path = tmp_path / "bench.csv"
+    monkeypatch.setattr(sys, "argv", ["phasealg", "bench", "--rows", "2", "--cols", "2", "--updates", "1",
+                                      "--seed", "0", "--csv", str(csv_path)])
+    with pytest.raises(SystemExit) as exited:
+        entrypoint()
+    assert exited.value.code == 0
+    lines = csv_path.read_text().strip().split("\n")
+    assert lines[0] == BENCH_CSV_HEADER and len(lines) == 2
+    assert lines[1].split(",")[:3] == ["2", "2", "1"]
+    assert "max_residual" in capsys.readouterr().out
+
+
 def test_module_execution(tmp_path):
     import subprocess
-    import sys
     out = tmp_path / "m.json"
     result = subprocess.run(
         [sys.executable, "-m", "phasealg", "gen", "--rows", "2", "--cols", "2",

@@ -510,3 +510,33 @@ def test_the_production_route_calls_no_oracle():
     assert oracle_calls == ORACLE_CALLS_ON_THE_ROUTE
     assert {"_exponent", "_scale2", "_frobenius", "_require_condition", "_require_finite_result"} <= reached
     assert "run_benchmark" not in reached
+
+
+def _package_imports(module: str) -> dict[str, set[str]]:
+    """The package modules that a module's import statements name, each with
+    the names taken from it (none for `from . import core`)."""
+    path = pathlib.Path(phasealg.__file__).parent / f"{module}.py"
+    imports = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("phasealg."):
+                    imports.setdefault(alias.name.removeprefix("phasealg."), set())
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("phasealg")):
+            source = (node.module or "").removeprefix("phasealg").removeprefix(".")
+            if source:
+                imports.setdefault(source, set()).update(alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    imports.setdefault(alias.name, set())
+    return imports
+
+
+def test_engine_and_matio_import_no_harness():
+    # engine serves precompute and apply_update alone: the bench harness,
+    # which times them against the oracles, and its CSV record live in bench
+    engine = _package_imports("engine")
+    assert engine.keys() <= {"core", "angle", "pseudo"}, engine
+    assert not set().union(*engine.values()) & ORACLES
+    matio = _package_imports("matio")
+    assert matio.keys() <= {"core", "angle"}, matio

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasealg import AngleMatrix, DenseMatrix, identity, read_matrix, write_matrix
-from phasealg.engine import BenchRecord
-from phasealg.matio import BENCH_CSV_HEADER, MatrixFormatError, append_bench_record, dumps_report
+from phasealg.matio import MatrixFormatError, dumps_report
 
 
 def test_dense_round_trip_is_bit_exact(tmp_path):
@@ -185,18 +184,6 @@ def test_integer_beyond_the_digit_limit_is_a_format_error(tmp_path):
     path.write_text('{"kind": "angle", "theta": [' + "1" * 5000 + '], "phi": [0.0]}')
     with pytest.raises(MatrixFormatError, match="Exceeds the limit"):
         read_matrix(path)
-
-
-def test_bench_csv_header_once(tmp_path):
-    path = tmp_path / "bench.csv"
-    record = BenchRecord(rows=4, cols=4, updates=2, structured_ns_per_update=1000.0,
-                         naive_ns_per_update=9000.0, max_residual=1.25e-14, seed=3)
-    append_bench_record(path, record)
-    append_bench_record(path, record)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == BENCH_CSV_HEADER
-    assert len(lines) == 3
-    assert lines[1] == lines[2] == "4,4,2,1000.0,9000.0,1.25e-14,3"
 
 
 def test_report_serialization_is_deterministic():
