@@ -7,8 +7,7 @@ Matrix files are JSON with a `kind` discriminator:
 
 Floats are serialized in shortest round-trip decimal form (Python repr), so a
 write/read cycle reproduces every finite 64-bit value bit for bit. Reports are
-schema-versioned JSON with sorted keys. Benchmark CSV rows are
-phasealg.bench's.
+schema-versioned JSON with sorted keys.
 """
 
 from __future__ import annotations
