@@ -4,16 +4,13 @@ A rank-one mask of unit-modulus entries rotates a matrix entry by entry
 without disturbing its algebra: the masked determinant is the base
 determinant times a unit rotation, and the masked inverse or pseudoinverse
 is the base one under the conjugate-transposed mask. This package implements
-those closed forms, the naive LU/Gram oracles that verify them, an engine
-that reuses one checked factorization across a stream of masks, and a
-benchmark that times it against per-mask refactorization.
+those closed forms, the executable statements of the paper's lemmas, the
+naive LU/Gram oracles that verify them, an engine that reuses one checked
+factorization across a stream of masks, and a benchmark that times it
+against per-mask refactorization.
 """
 
-from .angle import (
-    AngleMatrix,
-    gram,
-    hadamard_inverse_transpose,
-)
+from .angle import AngleMatrix
 from .bench import BenchRecord, naive_update, run_benchmark
 from .core import (
     CONDITION_CAP,
@@ -24,16 +21,12 @@ from .core import (
     DeterminantRangeError,
     LUFactorization,
     SingularMatrixError,
-    conjugate_transpose,
     det_lu,
     frobenius_norm,
-    hadamard_inverse,
     hadamard_product,
-    identity,
     inverse_lu,
     lu_factorization_count,
     lu_factorize,
-    transpose,
 )
 from .engine import PrecomputedBase, apply_update, precompute
 from .generate import (
@@ -43,10 +36,18 @@ from .generate import (
     draw_well_conditioned,
     stream_generator,
 )
+from .lemmas import (
+    conjugate_transpose,
+    gram,
+    gram_hadamard_factorization,
+    hadamard_inverse,
+    hadamard_inverse_transpose,
+    identity,
+    transpose,
+)
 from .matio import MatrixFormatError, read_matrix, write_matrix
 from .pseudo import (
     PenroseReport,
-    gram_hadamard_factorization,
     penrose_check,
     pinv_full_rank,
     pinv_structured,

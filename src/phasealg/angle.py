@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix, hadamard_inverse, transpose
+from .core import DenseMatrix
 
-__all__ = [
-    "AngleMatrix",
-    "hadamard_inverse_transpose",
-    "gram",
-]
+__all__ = ["AngleMatrix"]
 
 
 def _phase_array(values, what: str) -> np.ndarray:
@@ -96,28 +92,4 @@ class AngleMatrix:
         if self.rows != self.cols:
             raise ValueError(f"phase_sum requires a square angle matrix, got {self.shape}")
         return float(self.theta.sum() + self.phi.sum())
-
-
-def hadamard_inverse_transpose(t: AngleMatrix) -> DenseMatrix:
-    """Transpose of the entrywise reciprocal of the dense form.
-
-    This is the long route to the conjugate transpose; it exists so the
-    identity with materialize(hermitian(t)) is directly executable.
-    """
-    return transpose(hadamard_inverse(t.materialize()))
-
-
-def gram(t: AngleMatrix, side: str) -> tuple[int, AngleMatrix]:
-    """Structured Gram product of an angle matrix.
-
-    side="left" describes hermitian(t) @ t: it equals rows(t) times the n-by-n
-    angle matrix built from column-phase differences (theta'=-phi, phi'=phi).
-    side="right" describes t @ hermitian(t): cols(t) times the m-by-m analogue
-    over row-phase differences.
-    """
-    if side == "left":
-        return t.rows, AngleMatrix._wrap(-t.phi, t.phi)
-    if side == "right":
-        return t.cols, AngleMatrix._wrap(t.theta, -t.theta)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 

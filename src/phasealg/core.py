@@ -1,4 +1,4 @@
-"""Dense complex matrices, entrywise (Hadamard) algebra, the LAPACK production
+"""Dense complex matrices, the entrywise (Hadamard) product, the LAPACK production
 route (checked_pinv for the inverse and full-rank pseudoinverse, slogdet for
 the log-determinant, rescale for the diagonal phase mask) and a pivoted LU
 oracle."""
@@ -17,12 +17,8 @@ __all__ = [
     "SingularMatrixError",
     "DeterminantRangeError",
     "DenseMatrix",
-    "identity",
-    "transpose",
-    "conjugate_transpose",
     "frobenius_norm",
     "hadamard_product",
-    "hadamard_inverse",
     "checked_pinv",
     "slogdet",
     "rescale",
@@ -170,18 +166,6 @@ class DenseMatrix:
         return f"DenseMatrix({self._array.tolist()!r})"
 
 
-def identity(n: int) -> DenseMatrix:
-    return DenseMatrix(np.eye(n, dtype=np.complex128))
-
-
-def transpose(a: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(a.array.T)
-
-
-def conjugate_transpose(a: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix(np.conj(a.array.T))
-
-
 def _frobenius(x: np.ndarray) -> float:
     """||x||_F at any scale. np.linalg.norm sums squares, which overflow to inf
     once entries pass about 1.3e154 and can all underflow to 0; only then is
@@ -212,15 +196,6 @@ def hadamard_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     out.real = a.array.real * b.array.real - a.array.imag * b.array.imag
     out.imag = a.array.real * b.array.imag + a.array.imag * b.array.real
     return DenseMatrix._wrap(out)
-
-
-def hadamard_inverse(a: DenseMatrix) -> DenseMatrix:
-    """Entrywise reciprocal; requires every entry nonzero."""
-    small = np.abs(a.array) <= ENTRY_EPS
-    if small.any():
-        bad = divmod(int(np.argmax(small)), a.cols)  # row-major index of the first small entry
-        raise ValueError(f"entry at {bad} is zero (|.| <= {ENTRY_EPS}); entrywise reciprocal undefined")
-    return DenseMatrix._wrap(1.0 / a.array)
 
 
 # Factorization counter: test probe asserting how often structured paths

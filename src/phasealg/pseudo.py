@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angle import AngleMatrix, gram
+from .angle import AngleMatrix
 from .core import (
     RESIDUAL_EPS,
     DenseMatrix,
@@ -28,7 +28,6 @@ __all__ = [
     "PenroseReport",
     "penrose_check",
     "pinv_full_rank",
-    "gram_hadamard_factorization",
     "pinv_structured",
 ]
 
@@ -87,20 +86,6 @@ def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
         return DenseMatrix._wrap(lu_factorize(gram_mat).solve(arr.conj().T))
     gram_mat = DenseMatrix._wrap(arr @ arr.conj().T)
     return DenseMatrix._wrap(arr.conj().T @ lu_factorize(gram_mat).inverse().array)
-
-
-def gram_hadamard_factorization(a: DenseMatrix, t: AngleMatrix) -> tuple[DenseMatrix, int, AngleMatrix]:
-    """Factor the column Gram of the masked matrix without forming it.
-
-    Returns (A^H A, m, G) where G is the left structured Gram of the angle
-    matrix, so that (masked)^H (masked) equals (A^H A) entrywise-masked by
-    materialize(G), i.e. by (1/m) of the dense angle Gram.
-    """
-    if t.shape != a.shape:
-        raise ValueError(f"gram_hadamard_factorization shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
-    scale, structured_gram = gram(t, "left")
-    base_gram = DenseMatrix(a.array.conj().T @ a.array)
-    return base_gram, scale, structured_gram
 
 
 def _masked_pinv(x: np.ndarray, t: AngleMatrix) -> DenseMatrix:

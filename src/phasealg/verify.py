@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .angle import gram, hadamard_inverse_transpose
 from .core import (
     ENTRY_EPS,
     det_lu,
     frobenius_norm,
     hadamard_product,
     inverse_lu,
-    transpose,
-    conjugate_transpose,
 )
 from .generate import draw_angle, draw_well_conditioned, stream_generator
-from .pseudo import gram_hadamard_factorization, penrose_check, pinv_full_rank, pinv_structured
+from .lemmas import conjugate_transpose, gram, gram_hadamard_factorization, hadamard_inverse_transpose, transpose
+from .pseudo import penrose_check, pinv_full_rank, pinv_structured
 from .structured import (
     det_structured,
     inverse_adjugate_structured,

@@ -532,11 +532,35 @@ def _package_imports(module: str) -> dict[str, set[str]]:
     return imports
 
 
-def test_engine_and_matio_import_no_harness():
-    # engine serves precompute and apply_update alone: the bench harness,
-    # which times them against the oracles, and its CSV record live in bench
-    engine = _package_imports("engine")
-    assert engine.keys() <= {"core", "angle", "pseudo"}, engine
-    assert not set().union(*engine.values()) & ORACLES
-    matio = _package_imports("matio")
-    assert matio.keys() <= {"core", "angle"}, matio
+LEMMAS = {
+    "identity", "transpose", "conjugate_transpose", "hadamard_inverse", "hadamard_inverse_transpose", "gram",
+    "gram_hadamard_factorization",
+}
+# A production module may import from any package module but those of the
+# lemmas, the bench harness, verify and the CLI.
+_PRODUCTION_SOURCES = dict.fromkeys(
+    {path.stem for path in pathlib.Path(phasealg.__file__).parent.glob("*.py")} - {"lemmas", "bench", "verify", "cli"}
+)
+# module: ({package module it may import from: the names it may take from it,
+# None for any}, the names it may take from none). engine serves precompute
+# and apply_update alone, so it takes no oracle either.
+IMPORT_RULES = {
+    "core": (_PRODUCTION_SOURCES, LEMMAS),
+    "angle": ({"core": {"DenseMatrix"}}, LEMMAS),
+    "structured": (_PRODUCTION_SOURCES, LEMMAS),
+    "pseudo": (_PRODUCTION_SOURCES, LEMMAS),
+    "engine": ({"core": None, "angle": None, "pseudo": None}, LEMMAS | ORACLES),
+    "generate": (_PRODUCTION_SOURCES, LEMMAS),
+    "matio": ({"core": None, "angle": None}, set()),
+    "lemmas": ({"core": None, "angle": None}, set()),
+}
+
+
+@pytest.mark.parametrize("module", IMPORT_RULES)
+def test_package_imports_follow_the_rules(module):
+    allowed, barred = IMPORT_RULES[module]
+    imports = _package_imports(module)
+    assert imports.keys() <= allowed.keys(), imports
+    for source, names in imports.items():
+        assert allowed[source] is None or names <= allowed[source], (source, names)
+        assert not names & barred, (source, names & barred)

@@ -187,6 +187,25 @@ def test_precompute_calls_graded_tall_and_wide_bases_at_condition_1e5_singular(s
     assert np.array([raised.value.pivot]).tobytes() == np.array([expected.value.pivot]).tobytes()
 
 
+def _graded_two_streams(seed: int, m: int, n: int, digits: int) -> DenseMatrix:
+    """m x n matrix with singular values logspace(0, -digits), so condition
+    10**digits, between orthonormal factors drawn from streams 0 and 1."""
+    k = min(m, n)
+    u, _ = np.linalg.qr(draw_dense(stream_generator(seed, 0), m, k).array)
+    v, _ = np.linalg.qr(draw_dense(stream_generator(seed, 1), n, k).array)
+    return DenseMatrix((u * np.logspace(0, -digits, k)) @ v.conj().T)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP item 1: the set-up gate's constant rejects LAPACK's inverse of small graded systems")
+@pytest.mark.parametrize("args", [(1824, 3, 3, 4), (800, 18, 4, 3)], ids=["3x3-1e4", "18x4-1e3"])
+def test_precompute_accepts_small_graded_bases_that_pinv_structured_accepts(args):
+    # the gate scores these at 6.460e-15 > 3.331e-15 and 4.795e-15 > 4.441e-15
+    a = _graded_two_streams(*args)
+    pinv_structured(a, AngleMatrix(theta=np.zeros(a.rows), phi=np.zeros(a.cols)))
+    precompute(a)
+
+
 def _near_max(n: int, share: float) -> np.ndarray:
     """A well-conditioned n x n base scaled to a largest part of share * max."""
     b = draw_well_conditioned(stream_generator(3, 0), n, n).array

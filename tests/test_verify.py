@@ -1,6 +1,7 @@
 """Verify report layout and the script that compares reports across trees."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -93,9 +94,18 @@ def test_same_reports_names_the_first_differing_suite_and_seed(tmp_path):
     source = verify_py.read_text(encoding="utf-8")
     assert "DUALITY_LIMIT = 1e-14\n" in source
     verify_py.write_text(source.replace("DUALITY_LIMIT = 1e-14\n", "DUALITY_LIMIT = 2e-14\n"), encoding="utf-8")
-    run = _same_reports(os.path.join(ROOT, "src"), str(tmp_path))
+    base = os.path.join(ROOT, "src")
+    run = _same_reports(base, str(tmp_path))
     assert run.returncode == 1
     assert "suite lemma1, seed 0" in run.stdout
+    # the first line that differs, from each tree, with the same line number
+    # and the halved ratio; the exit codes agree, so no more lines
+    header, *lines = run.stdout.splitlines()
+    pattern = r'  (.+) line (\d+): +"max_ratio": (\S+),'
+    (base_src, base_number, base_ratio), (head_src, head_number, head_ratio) = (
+        re.fullmatch(pattern, line).groups() for line in lines)
+    assert (base_src, head_src) == (base, str(tmp_path)) and base_number == head_number
+    assert float(head_ratio) == pytest.approx(float(base_ratio) / 2, rel=1e-12)
 
 
 def test_same_reports_fails_on_a_numpy_warning(tmp_path):
