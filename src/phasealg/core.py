@@ -1,11 +1,9 @@
-"""Dense complex matrices, the entrywise (Hadamard) product, the LAPACK production
-route (checked_pinv for the inverse and full-rank pseudoinverse, slogdet for
-the log-determinant, rescale for the diagonal phase mask) and a pivoted LU
-oracle."""
+"""Dense complex matrices, the entrywise (Hadamard) product, the numeric
+helpers that the LAPACK production route (phasealg.engine) and the oracles
+share, the factorization counter and a pivoted LU oracle. No numpy.linalg
+solver is called here."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -19,9 +17,6 @@ __all__ = [
     "DenseMatrix",
     "frobenius_norm",
     "hadamard_product",
-    "checked_pinv",
-    "slogdet",
-    "rescale",
     "LUFactorization",
     "lu_factorize",
     "det_lu",
@@ -91,25 +86,6 @@ def _largest_part(arr: np.ndarray) -> float:
     """max over entries of max(|re|, |im|), without an m-by-n temporary."""
     parts = _parts(arr)
     return float(max(parts.max(), -parts.min()))
-
-
-_EXPONENT_BAND = 400  # within 2^+-400, Gram systems and their inverses stay in float64's normal range
-
-
-def _exponent(arr: np.ndarray) -> int:
-    """The binary exponent e that puts arr's largest real or imaginary part
-    in [0.5, 1) times 2^e, or 0 when |e| <= _EXPONENT_BAND (no prescale)."""
-    e = math.frexp(_largest_part(arr))[1]
-    return e if abs(e) > _EXPONENT_BAND else 0
-
-
-def _scale2(x: np.ndarray, e: int) -> np.ndarray:
-    """x * 2^e by np.ldexp on the float64 view, since 2.0**e alone can
-    overflow; x itself when e is 0. Exact unless an entry leaves the normal
-    range."""
-    if not e:
-        return x
-    return np.ldexp(x.ravel().view(np.float64), e).view(x.dtype).reshape(x.shape)
 
 
 class DenseMatrix:
@@ -206,100 +182,6 @@ _lu_factorizations = 0
 
 def lu_factorization_count() -> int:
     return _lu_factorizations
-
-
-def checked_pinv(a: np.ndarray) -> np.ndarray:
-    """LAPACK (pseudo)inverse of a full-rank array: inv(A) when square,
-    inv(A^H A) @ A^H when tall, A^H @ inv(A A^H) when wide, taken of
-    A_s = A * 2^-e and scaled back by 2^-e (_exponent). Rejected as singular
-    (_require_condition) when the one system S inverted has
-    1 / (||S||_F ||S^-1||_F) <= RANK_EPS, when the result does not fit in
-    float64 (reciprocal condition 0) or when LAPACK meets an exactly zero
-    pivot (pivot 0). Counts one factorization."""
-    return _pinv_system(a)[0]
-
-
-def _pinv_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(checked_pinv(a), S, K): S is the one system inverted, A_s when square
-    and its Gram system otherwise, and K is LAPACK's inverse of S."""
-    global _lu_factorizations
-    _lu_factorizations += 1
-    m, n = a.shape
-    e = _exponent(a)
-    a = _scale2(a, -e)
-    if m == n:
-        system = a
-    else:
-        adjoint = a.conj().T
-        system = adjoint @ a if m > n else a @ adjoint
-    try:
-        system_inverse = inv = np.linalg.inv(system)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(f"matrix is singular to working precision: {err}", pivot=0.0) from err
-    reciprocal_condition = 1.0 / (_frobenius(system) * _frobenius(inv))
-    if reciprocal_condition > RANK_EPS and m != n:
-        inv = inv @ adjoint if m > n else adjoint @ inv
-    if e:
-        with np.errstate(over="ignore"):  # entries beyond float64 come back as inf and are rejected below
-            inv = _scale2(inv, -e)
-        if not np.isfinite(inv).all():
-            reciprocal_condition = 0.0
-    _require_condition(reciprocal_condition)
-    return inv, system, system_inverse
-
-
-def _require_condition(reciprocal_condition: float) -> None:
-    """SingularMatrixError unless reciprocal_condition > RANK_EPS; nan, from
-    non-finite inverse entries, fails too."""
-    if not reciprocal_condition > RANK_EPS:
-        raise SingularMatrixError(
-            f"matrix is singular to working precision: reciprocal condition "
-            f"{reciprocal_condition:.3e} <= threshold {RANK_EPS:.3e}",
-            pivot=reciprocal_condition,
-        )
-
-
-def slogdet(a: np.ndarray) -> tuple[complex, float]:
-    """LAPACK (sign, log|det|) of a square array; sign is 0 when exactly
-    singular. Outside the band (_exponent), row i is first scaled exactly by
-    2^-e_i, e_i the binary exponent of its own largest real or imaginary
-    part, and sum(e_i) ln 2 is added back, so no entry is flushed against a
-    larger row. Counts one factorization."""
-    global _lu_factorizations
-    _lu_factorizations += 1
-    e = _exponent(a)
-    if e:
-        parts = np.ascontiguousarray(a).view(np.float64)
-        e = np.frexp(np.abs(parts).max(axis=1))[1]
-        a = np.ldexp(parts, -e[:, None]).view(a.dtype)
-    sign, log_abs = np.linalg.slogdet(a)
-    return complex(sign), float(log_abs + np.sum(e) * math.log(2))
-
-
-def rescale(x: np.ndarray, row_phases: np.ndarray, col_phases: np.ndarray) -> np.ndarray:
-    """The one mask kernel: diag(e^(j*row_phases)) @ x @ diag(e^(j*col_phases)),
-    in O(mn) with a single m-by-n allocation: x times the column factors,
-    then that product times the row factors in place.
-
-    Masking by an angle matrix is exactly this diagonal scaling, so every
-    structured solve is a base solve followed by one call here. The phases
-    are finite (AngleMatrix rejects others), so the factors have unit
-    modulus and, x being finite, an output entry can leave float64 only
-    by overflow in the multiplies. Those run with numpy's overflow and
-    invalid flags routed to a local list; only when one fired is the result
-    scanned, and a non-finite entry raises OverflowError ("result overflows
-    float64: non-finite entry at (i, k)"). The scan decides, so a spurious
-    flag costs one scan and never an error. Returns a fresh, finite array.
-    """
-    flags = []
-    with np.errstate(over="call", invalid="call", call=lambda err, flag: flags.append(err)):
-        col = np.exp(1j * col_phases)
-        row = np.exp(1j * row_phases)
-        out = x * col[None, :]
-        out *= row[:, None]
-    if flags:
-        _require_finite_result(out)
-    return out
 
 
 class LUFactorization:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CONDITION_CAP, DenseMatrix, SingularMatrixError, checked_pinv, frobenius_norm
+from .core import CONDITION_CAP, DenseMatrix, SingularMatrixError, frobenius_norm
 from .angle import AngleMatrix
+from .engine import checked_pinv
 
 __all__ = [
     "MAX_SEED",
@@ -61,7 +62,7 @@ def condition_proxy(a: DenseMatrix) -> float:
 
     A cheap upper-bound stand-in for the spectral condition number, used only
     to filter generated test instances. It runs on the production route
-    (core.checked_pinv, one LAPACK factorization), never on the hand-LU
+    (engine.checked_pinv, one LAPACK factorization), never on the hand-LU
     oracles that the filtered instances are later checked against.
     """
     try:

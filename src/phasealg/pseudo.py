@@ -3,7 +3,7 @@
 The pseudoinverse of a full-rank matrix comes from the invertible Gram system
 on its smaller side; the pseudoinverse of the phase-masked matrix is then the
 base pseudoinverse masked by the conjugate-transposed angle matrix. The
-production route is core.checked_pinv, which solves the Gram system on
+production route is engine.checked_pinv, which solves the Gram system on
 LAPACK; pinv_full_rank is the hand-LU oracle for it. Rank deficiency is out of
 scope and rejected.
 """
@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angle import AngleMatrix
-from .core import (
-    RESIDUAL_EPS,
-    DenseMatrix,
-    checked_pinv,
-    frobenius_norm,
-    lu_factorize,
-    rescale,
-)
+from .core import RESIDUAL_EPS, DenseMatrix, frobenius_norm, lu_factorize
+from .engine import _masked_pinv, checked_pinv
 
 __all__ = [
     "PenroseReport",
@@ -88,19 +82,10 @@ def pinv_full_rank(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix._wrap(arr.conj().T @ lu_factorize(gram_mat).inverse().array)
 
 
-def _masked_pinv(x: np.ndarray, t: AngleMatrix) -> DenseMatrix:
-    """The one masking step: the base (pseudo)inverse x of A, masked by the
-    conjugate transpose of t, is the (pseudo)inverse of A masked by t, i.e.
-    x rescaled by e^(-j*phi) on the rows and e^(-j*theta) on the columns.
-    rescale raises OverflowError on a non-finite entry, so the result is
-    wrapped without a second scan."""
-    return DenseMatrix._wrap(rescale(x, -t.phi, -t.theta), proven_finite=True)
-
-
 def pinv_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Pseudoinverse of the masked matrix: one Gram solve on A, then
-    _masked_pinv; the masked matrix is never formed. For a square A this is
-    inverse_structured."""
+    engine._masked_pinv; the masked matrix is never formed. For a square A
+    this is inverse_structured."""
     if t.shape != a.shape:
         raise ValueError(f"pinv_structured shape mismatch: matrix {a.shape} vs angle matrix {t.shape}")
     return _masked_pinv(checked_pinv(a.array), t)

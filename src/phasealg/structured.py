@@ -12,15 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .angle import AngleMatrix
-from .core import (
-    DenseMatrix,
-    DeterminantRangeError,
-    checked_pinv,
-    det_lu,
-    lu_factorize,
-    slogdet,
-)
-from .pseudo import _masked_pinv
+from .core import DenseMatrix, DeterminantRangeError, det_lu, lu_factorize
+from .engine import _masked_pinv, checked_pinv, slogdet
 
 __all__ = [
     "det_structured",
@@ -80,7 +73,7 @@ def det_structured(a: DenseMatrix, t: AngleMatrix) -> complex:
 
 def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
     """Inverse of the masked matrix: inverse(A) masked by the conjugate
-    transpose of the angle matrix (pseudo._masked_pinv), the same matrix as
+    transpose of the angle matrix (engine._masked_pinv), the same matrix as
     pinv_structured for a square A. Factors A exactly once; the masked matrix
     is never formed, let alone factored."""
     _require_square_pair(a, t, "inverse_structured")
@@ -88,7 +81,7 @@ def inverse_structured(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
 
 
 def inverse_structured_transposed(a: DenseMatrix, t: AngleMatrix) -> DenseMatrix:
-    """Inverse of A masked by the transposed angle matrix: pseudo._masked_pinv
+    """Inverse of A masked by the transposed angle matrix: engine._masked_pinv
     with the transposed mask, i.e. inverse(A) masked by the entrywise
     conjugate (no transpose)."""
     _require_square_pair(a, t, "inverse_structured_transposed")

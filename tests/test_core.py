@@ -28,7 +28,7 @@ from phasealg import (
     transpose,
 )
 from phasealg import core
-from phasealg.core import rescale
+from phasealg.engine import rescale
 from phasealg.generate import draw_dense, draw_well_conditioned, stream_generator
 
 
@@ -396,15 +396,15 @@ def test_lu_determinant_never_takes_the_source_norm(monkeypatch):
 LAPACK_SOLVERS = {"inv", "solve", "pinv", "slogdet", "det", "qr", "svd", "lstsq"}
 
 # The only homes of each guarded call: a whole module, or a (module, function)
-# pair. LAPACK solvers stay on the production route in core, with inv in
+# pair. LAPACK solvers stay on the production route in engine, with inv in
 # _pinv_system alone; np.exp runs only in
 # the one mask kernel of each route (rescale, materialize), the
 # determinant's rotation and lemma3's fixed 2x2 expected value.
 CALL_HOMES = {
-    "numpy.linalg solver": {"core.py"},
-    "numpy.linalg.inv": {("core.py", "_pinv_system")},
+    "numpy.linalg solver": {"engine.py"},
+    "numpy.linalg.inv": {("engine.py", "_pinv_system")},
     "numpy.exp": {
-        ("core.py", "rescale"),
+        ("engine.py", "rescale"),
         ("angle.py", "AngleMatrix.materialize"),
         ("structured.py", "det_structured"),
         ("verify.py", "_suite_lemma3"),
@@ -438,7 +438,7 @@ def _guarded_calls(node: ast.AST, scope: str = "") -> list[tuple[str, str, int]]
     return found
 
 
-def test_only_core_calls_lapack_solvers():
+def test_only_engine_calls_lapack_solvers():
     package = pathlib.Path(phasealg.__file__).parent
     used = set()
     for path in sorted(package.glob("*.py")):
@@ -542,14 +542,15 @@ _PRODUCTION_SOURCES = dict.fromkeys(
     {path.stem for path in pathlib.Path(phasealg.__file__).parent.glob("*.py")} - {"lemmas", "bench", "verify", "cli"}
 )
 # module: ({package module it may import from: the names it may take from it,
-# None for any}, the names it may take from none). engine serves precompute
-# and apply_update alone, so it takes no oracle either.
+# None for any}, the names it may take from none). core imports no package
+# module. engine holds the LAPACK route beside precompute and apply_update,
+# builds on core and angle alone, and takes no oracle either.
 IMPORT_RULES = {
-    "core": (_PRODUCTION_SOURCES, LEMMAS),
+    "core": ({}, set()),
     "angle": ({"core": {"DenseMatrix"}}, LEMMAS),
     "structured": (_PRODUCTION_SOURCES, LEMMAS),
     "pseudo": (_PRODUCTION_SOURCES, LEMMAS),
-    "engine": ({"core": None, "angle": None, "pseudo": None}, LEMMAS | ORACLES),
+    "engine": ({"core": None, "angle": None}, LEMMAS | ORACLES),
     "generate": (_PRODUCTION_SOURCES, LEMMAS),
     "matio": ({"core": None, "angle": None}, set()),
     "lemmas": ({"core": None, "angle": None}, set()),

@@ -28,7 +28,7 @@ from phasealg import (
     precompute,
 )
 from phasealg import core, engine, pseudo, structured
-from phasealg.core import checked_pinv, rescale
+from phasealg.engine import checked_pinv, rescale
 from phasealg.bench import _update_angles
 from phasealg.engine import PrecomputedBase
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
@@ -66,9 +66,9 @@ def _inject(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
     """precompute(a) takes candidate for LAPACK's inverse: np.linalg.inv
     returns candidate in the prescaled frame, candidate * 2^e, and the
     condition test is passed, as when checked_pinv was replaced whole."""
-    e = core._exponent(a.array)
-    monkeypatch.setattr(np.linalg, "inv", lambda system: core._scale2(np.array(candidate, dtype=np.complex128), e))
-    monkeypatch.setattr(core, "_require_condition", lambda reciprocal_condition: None)
+    e = engine._exponent(a.array)
+    monkeypatch.setattr(np.linalg, "inv", lambda system: engine._scale2(np.array(candidate, dtype=np.complex128), e))
+    monkeypatch.setattr(engine, "_require_condition", lambda reciprocal_condition: None)
 
 
 def _assert_gate_rejects(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
@@ -80,7 +80,7 @@ def _assert_gate_rejects(monkeypatch, a: DenseMatrix, candidate: np.ndarray):
 
 @pytest.mark.parametrize("condition", [1e3, 1e5, 1e8])
 def test_precompute_gate_on_graded_square_bases(monkeypatch, condition):
-    a = _graded(5, 30, condition)
+    a = _graded(5, 30, 30, condition)
     x = precompute(a).base_pinv.array
     noise = draw_well_conditioned(stream_generator(5, 1), 30, 30).array.real
     _assert_gate_rejects(monkeypatch, a, x * (1 + 1e-6 * noise))
@@ -102,7 +102,7 @@ def test_precompute_accepts_a_dense_base_at_1e_308():
     # entries; checked_pinv inverts the exactly prescaled 2^-e * 1e-308 B
     # instead and scales the result back by 2^-e
     b = draw_well_conditioned(stream_generator(3, 0), 8, 8).array
-    x = core.checked_pinv(1e-308 * b)
+    x = engine.checked_pinv(1e-308 * b)
     expected = np.linalg.inv(b) / 1e-308
     assert np.abs(x - expected).max() <= 1e-14 * np.abs(expected).max()
     x = precompute(DenseMatrix(1e-308 * b)).base_pinv.array
@@ -152,22 +152,12 @@ def test_precompute_penrose_check_still_rejects_out_of_band(monkeypatch, shape):
                 precompute(DenseMatrix(scale * b))
 
 
-def _graded_rectangular(seed: int, m: int, n: int, condition: float) -> DenseMatrix:
-    """m x n matrix with singular values spaced evenly in log from 1 down to
-    1 / condition, between random orthonormal factors."""
-    gen = stream_generator(seed, 0)
-    k = min(m, n)
-    u, _ = np.linalg.qr(draw_dense(gen, m, k).array)
-    v, _ = np.linalg.qr(draw_dense(gen, n, k).array)
-    return DenseMatrix((u * np.logspace(0, -np.log10(condition), k)) @ v.conj().T)
-
-
 @pytest.mark.parametrize("shape", [(40, 20), (20, 40)], ids=["40x20", "20x40"])
 def test_precompute_accepts_graded_tall_and_wide_bases_at_condition_1e4(shape):
     # the Gram route leaves about condition^2 u in X, which a fixed limit
     # on the Penrose residuals of (A, X) rejected; the gate judges only the
     # Gram system's inverse
-    a = _graded_rectangular(5, *shape, 1e4)
+    a = _graded(5, *shape, 1e4)
     t = draw_angle(stream_generator(5, 1), *shape)
     base = precompute(a)
     assert np.array_equal(base.base_pinv.array, checked_pinv(a.array))
@@ -178,7 +168,7 @@ def test_precompute_accepts_graded_tall_and_wide_bases_at_condition_1e4(shape):
 def test_precompute_calls_graded_tall_and_wide_bases_at_condition_1e5_singular(shape):
     # the Gram system squares the condition to about 1e10, past RANK_EPS:
     # checked_pinv's verdict, figures and all
-    a = _graded_rectangular(5, *shape, 1e5)
+    a = _graded(5, *shape, 1e5)
     with pytest.raises(SingularMatrixError) as expected:
         checked_pinv(a.array)
     with pytest.raises(SingularMatrixError) as raised:
@@ -226,7 +216,7 @@ def test_inverse_near_float64_max_is_right_on_every_route(a):
     t = draw_angle(stream_generator(3, 1), n, n)
     expected = np.linalg.inv(a * 2.0 ** -1000) * 2.0 ** -1000
     masked = expected * t.hermitian().materialize().array
-    for x, reference in ((core.checked_pinv(a), expected),
+    for x, reference in ((engine.checked_pinv(a), expected),
                          (precompute(DenseMatrix(a)).base_pinv.array, expected),
                          (inverse_structured(DenseMatrix(a), t).array, masked)):
         assert np.abs(x - reference).max() <= 1e-15 * np.abs(reference).max()
@@ -236,7 +226,7 @@ def test_checked_pinv_still_rejects_an_inverse_beyond_float64():
     # at 3e-309 the inverse's largest modulus, 0.75 / 3e-309, exceeds float64's
     b = draw_well_conditioned(stream_generator(3, 0), 8, 8).array
     with pytest.raises(SingularMatrixError, match="reciprocal condition 0.000e\\+00"):
-        core.checked_pinv(3e-309 * b)
+        engine.checked_pinv(3e-309 * b)
 
 
 @pytest.mark.parametrize("ulps, passes", [(1, True), (24, False)])
@@ -283,7 +273,7 @@ def _near_singular(kind: str, n: int) -> np.ndarray:
         a = np.eye(n, dtype=np.complex128)
         a[0, 1], a[1, 1] = 1.0, 1e-310
         return a
-    return _graded(n, n, float(kind)).array
+    return _graded(n, n, n, float(kind)).array
 
 
 @pytest.mark.parametrize("kind", ["1e13", "1e20", "1e-310"])
@@ -293,7 +283,7 @@ def test_precompute_gives_the_condition_verdict_before_the_gate(n, kind):
     # verdict and its figures are checked_pinv's, never the gate's
     # RuntimeError
     a = _near_singular(kind, n)
-    assert core._exponent(a) == 0
+    assert engine._exponent(a) == 0
     with pytest.raises(SingularMatrixError) as expected:
         checked_pinv(a)
     with pytest.raises(SingularMatrixError) as raised:
@@ -314,7 +304,7 @@ def test_precompute_rejects_an_inverse_beyond_float64(n):
 
 def _gate_base(kind: str, n: int) -> np.ndarray:
     if kind == "graded":
-        return _graded(n, n, 1e8).array
+        return _graded(n, n, n, 1e8).array
     random = draw_dense(stream_generator(n, 0), n, n).array
     return 1e-300 * random if kind == "1e-300" else random
 

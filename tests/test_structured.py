@@ -28,7 +28,7 @@ from phasealg import (
     precompute,
     transpose,
 )
-from phasealg.core import slogdet
+from phasealg.engine import slogdet
 from phasealg.generate import draw_angle, draw_dense, draw_well_conditioned, stream_generator
 from phasealg.verify import ADJUGATE_LIMIT
 
@@ -152,23 +152,24 @@ def test_transposed_mask_with_zero_phases_is_plain_inverse():
     assert np.allclose(inverse_structured_transposed(a, t).array, np.linalg.inv(a.array), rtol=0, atol=0)
 
 
-def _graded(seed: int, n: int, condition: float) -> DenseMatrix:
-    """Square matrix with singular values spaced evenly in log from 1 down to
-    1 / condition, between random unitary factors."""
+def _graded(seed: int, m: int, n: int, condition: float) -> DenseMatrix:
+    """m x n matrix with singular values spaced evenly in log from 1 down to
+    1 / condition, between random orthonormal factors."""
     gen = stream_generator(seed, 0)
-    u, _ = np.linalg.qr(draw_dense(gen, n, n).array)
-    v, _ = np.linalg.qr(draw_dense(gen, n, n).array)
-    return DenseMatrix((u * np.logspace(0, -np.log10(condition), n)) @ v.conj().T)
+    k = min(m, n)
+    u, _ = np.linalg.qr(draw_dense(gen, m, k).array)
+    v, _ = np.linalg.qr(draw_dense(gen, n, k).array)
+    return DenseMatrix((u * np.logspace(0, -np.log10(condition), k)) @ v.conj().T)
 
 
 def test_production_and_oracle_agree_on_singularity():
     for seed in range(3):
         for n in (4, 8, 16, 24):
             t = draw_angle(stream_generator(seed, 1), n, n)
-            conditioned = _graded(seed, n, 1e6)
+            conditioned = _graded(seed, n, n, 1e6)
             inverse_structured(conditioned, t)
             inverse_lu(conditioned)
-            near_singular = _graded(seed, n, 1e14)
+            near_singular = _graded(seed, n, n, 1e14)
             with pytest.raises(SingularMatrixError):
                 inverse_structured(near_singular, t)
             with pytest.raises(SingularMatrixError):
@@ -209,7 +210,7 @@ def test_scaled_identity_pseudoinverse_and_update(scale):
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
 def test_graded_condition_is_rejected_at_every_scale(scale):
     t = draw_angle(stream_generator(0, 1), 8, 8)
-    near_singular = DenseMatrix(scale * _graded(0, 8, 1e14).array)
+    near_singular = DenseMatrix(scale * _graded(0, 8, 8, 1e14).array)
     with pytest.raises(SingularMatrixError):
         inverse_structured(near_singular, t)
     with pytest.raises(SingularMatrixError):

@@ -1,5 +1,6 @@
 """The scripts in tools/: bench_compare.py with the benchmark runs stubbed out, and
-setup_stages.py on small bases."""
+setup_stages.py on small bases; and perfbench/tracing.py's spans against the
+per-layer metrics of BENCHMARK.json."""
 
 import importlib.util
 import json
@@ -7,19 +8,26 @@ import os
 
 import pytest
 
-from phasealg import core, engine
+from phasealg import SUITE_NAMES, engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as _handle:
-    END_TO_END = json.load(_handle)["end_to_end"]
+    _BENCHMARK = json.load(_handle)
+END_TO_END = _BENCHMARK["end_to_end"]
+PER_LAYER = [spec["name"] for spec in _BENCHMARK["per_layer"]]
+
+
+def _load(directory: str, script: str):
+    """The module of ROOT/directory/script.py, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(script, os.path.join(ROOT, directory, f"{script}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_compare():
-    spec = importlib.util.spec_from_file_location("bench_compare", os.path.join(ROOT, "tools", "bench_compare.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tools", "bench_compare")
 
 
 def _stub(monkeypatch, module, calls, correct=True):
@@ -134,17 +142,14 @@ def test_bench_compare_parses_the_baseline_lines(bench_compare, monkeypatch):
 
 @pytest.fixture
 def setup_stages():
-    spec = importlib.util.spec_from_file_location("setup_stages", os.path.join(ROOT, "tools", "setup_stages.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tools", "setup_stages")
 
 
 @pytest.mark.parametrize("n", [8, 160])
 def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, capsys, n):
-    originals = core._pinv_system, engine._inverse_gate
+    originals = engine._pinv_system, engine._inverse_gate
     assert setup_stages.main(["--n", str(n), "--calls", "3"]) == 0
-    assert (core._pinv_system, engine._inverse_gate) == originals
+    assert (engine._pinv_system, engine._inverse_gate) == originals
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"precompute {n}x{n}, median of 3 calls, OPENBLAS_NUM_THREADS=")
     stages = {line[:20].strip(): line[20:].split() for line in lines[1:]}
@@ -153,3 +158,29 @@ def test_setup_stages_prints_each_stage_and_restores_the_engine(setup_stages, ca
         assert unit == "ms" and float(value) >= 0.0
     # each call's total covers both of its stages, so each median is at most the total's
     assert float(stages["total"][0]) >= max(float(stages["pinv_system"][0]), float(stages["gate"][0]))
+
+
+def test_every_per_layer_metric_reads_a_traced_span():
+    # The tracer names each span after the module that defines the function
+    # and wraps only the names in its modules' __all__. A metric whose
+    # function moved to another module, or left __all__, would read 0 on
+    # every run instead of failing.
+    tracing = _load("perfbench", "tracing")
+    methods = {label for *_, label in tracing.METHODS}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for metric in PER_LAYER:
+            if metric == "trace.latency_p50_ratio":  # run.py's ratio of two runs, not a span
+                continue
+            span = metric.rsplit(".", 1)[0]
+            if span in methods:
+                continue
+            if span.startswith("verify.run_suite."):  # one span, labelled per suite
+                assert span.removeprefix("verify.run_suite.") in SUITE_NAMES, metric
+                span = "verify.run_suite"
+            short, attr = span.split(".")
+            fn = getattr(importlib.import_module(f"phasealg.{short}"), attr, None)
+            assert hasattr(fn, "__wrapped__") and fn.__wrapped__.__module__ == f"phasealg.{short}", metric
+    finally:
+        tracer.uninstall()

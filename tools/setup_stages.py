@@ -6,15 +6,15 @@ The base is `draw_dense` on stream (S, 0), an N x N random complex matrix
 (default 256, seed 7). After one warm-up call, `precompute` runs K times
 (default 40) and the script prints the median of each stage in ms:
 
-- pinv_system: `core._pinv_system`, the work of `core.checked_pinv`: the
-  exponent, LAPACK's inverse and the condition test;
+- pinv_system: `engine._pinv_system`, the work of `engine.checked_pinv`:
+  the exponent, LAPACK's inverse and the condition test;
 - gate: `engine._inverse_gate` on the inverted system `S` and its inverse
   `K`, the two norms and the products `SK` and `KS` with their residuals;
 - total: the whole `precompute` call.
 
 The BLAS thread count is the environment's; the benchmark sets
-`OPENBLAS_NUM_THREADS=1`. The stage clocks are wrappers around private
-names of `phasealg`, installed for the run and removed after it.
+`OPENBLAS_NUM_THREADS=1`. The stage clocks are wrappers around two private
+names of `phasealg.engine`, installed for the run and removed after it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from phasealg import core, engine  # noqa: E402
+from phasealg import engine  # noqa: E402
 from phasealg.generate import draw_dense, stream_generator  # noqa: E402
 
 STAGES = ("pinv_system", "gate", "total")
@@ -49,8 +49,8 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
     """Each stage's times in ms over `calls` precompute calls after one warm-up."""
     base = draw_dense(stream_generator(seed, 0), n, n)
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    pinv_system, inverse_gate = core._pinv_system, engine._inverse_gate
-    core._pinv_system = _timed(pinv_system, "pinv_system", times)
+    pinv_system, inverse_gate = engine._pinv_system, engine._inverse_gate
+    engine._pinv_system = _timed(pinv_system, "pinv_system", times)
     engine._inverse_gate = _timed(inverse_gate, "gate", times)
     precompute = _timed(engine.precompute, "total", times)
     try:
@@ -60,7 +60,7 @@ def measure(n: int, calls: int, seed: int) -> dict[str, list[float]]:
         for _ in range(calls):
             precompute(base)
     finally:
-        core._pinv_system, engine._inverse_gate = pinv_system, inverse_gate
+        engine._pinv_system, engine._inverse_gate = pinv_system, inverse_gate
     return times
 
 
