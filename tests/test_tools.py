@@ -171,7 +171,7 @@ def test_every_per_layer_metric_reads_a_traced_span():
     try:
         tracer.install()
         for metric in PER_LAYER:
-            if metric == "trace.latency_p50_ratio":  # run.py's ratio of two runs, not a span
+            if metric == "trace.latency_p50_ratio":  # traced over untraced p50, from run.py, not a span
                 continue
             span = metric.rsplit(".", 1)[0]
             if span in methods:
